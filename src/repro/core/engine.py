@@ -35,6 +35,7 @@ from repro.errors import (
 from repro.htl import ast
 from repro.htl.classify import (
     FormulaClass,
+    has_quantifier,
     is_non_temporal,
     skeleton_class,
 )
@@ -379,12 +380,17 @@ class RetrievalEngine:
             and database is not None
             and atomic_lists is None
         )
+        # Only ∃ binds object variables, so an ∃-free closed formula never
+        # reads the pool: skip the walk over every segment of the video.
+        universe: Tuple[str, ...] = ()
+        if has_quantifier(formula):
+            universe = tuple(exists_pool(video.object_universe()))
         return _SequenceContext(
             video=video,
             level=level,
             nodes=nodes,
             atomics=resolve,
-            universe=tuple(exists_pool(video.object_universe())),
+            universe=universe,
             owner=video.root,
             scope=(video.name, level) if cacheable else None,
         )

@@ -7,8 +7,9 @@ beat the SQL baseline in the paper's §4.2 experiments.
 
 Complexities match the paper's analysis:
 
-* :func:`and_lists` — ``O(len(L1) + len(L2))`` on sorted lists (lists are
-  kept sorted by construction; :func:`sorted_entries` re-sorts defensively).
+* :func:`and_lists` — ``O(len(L1) + len(L2))``: one two-pointer sweep over
+  the flat ``begin``/``end``/``actual`` columns of both lists (sorted and
+  disjoint by construction), with no boundary list and no sort.
 * :func:`next_list` — ``O(len(L))``.
 * :func:`until_lists` — ``O(len(L1) + len(L2))`` plus the bisections used to
   locate each run's candidate window.
@@ -42,85 +43,74 @@ def and_lists(left: SimilarityList, right: SimilarityList) -> SimilarityList:
     Per §2.5 the combined value at a segment is ``(a1+a2, m1+m2)``; a segment
     on only one input list keeps its single value ("even if one of a1 and a2
     is zero ... we still may consider f to be partially satisfied").  The
-    modified merge walks both sorted entry arrays once.
+    modified merge is one two-pointer sweep over the ``begin``/``end``/
+    ``actual`` columns of both sorted entry arrays: each step emits the
+    piece up to the next boundary of either list.
     """
     budget = resilience.current_budget()
     if budget is not None:
         budget.charge(len(left) + len(right) + 1, site="list-merge")
     resilience.fault(resilience.SITE_LIST_MERGE)
     maximum = left.maximum + right.maximum
-    boundaries = _critical_points(left, right)
-    pieces: List[Tuple[Tuple[int, int], float]] = []
-    left_index = 0
-    right_index = 0
-    for start, stop in zip(boundaries, boundaries[1:]):
-        # values are constant on [start, stop - 1]
-        left_value, left_index = _constant_value_at(left, start, left_index)
-        right_value, right_index = _constant_value_at(right, start, right_index)
-        total = left_value + right_value
-        if total > SIM_EPS:
-            pieces.append(((start, stop - 1), total))
+    left_begins, left_ends, left_actuals = _columns(left)
+    right_begins, right_ends, right_actuals = _columns(right)
+    left_len = len(left_begins)
+    right_len = len(right_begins)
+    pieces: List[Tuple[int, int, float]] = []
+    emit = pieces.append
+    i = 0
+    j = 0
+    position = 0  # segment ids start at 1
+    while i < left_len and j < right_len:
+        left_begin = left_begins[i]
+        right_begin = right_begins[j]
+        if position < left_begin and position < right_begin:
+            # neither list covers the gap: skip to the nearer entry
+            position = left_begin if left_begin < right_begin else right_begin
+        if left_begin <= position:
+            left_value = left_actuals[i]
+            left_stop = left_ends[i] + 1
+        else:
+            left_value = 0.0
+            left_stop = left_begin
+        if right_begin <= position:
+            right_value = right_actuals[j]
+            right_stop = right_ends[j] + 1
+        else:
+            right_value = 0.0
+            right_stop = right_begin
+        stop = left_stop if left_stop < right_stop else right_stop
+        # values are constant on [position, stop - 1]
+        emit((position, stop - 1, left_value + right_value))
+        position = stop
+        if left_ends[i] < stop:
+            i += 1
+        if right_ends[j] < stop:
+            j += 1
+    # At most one list has entries left, the first perhaps partly swept;
+    # ``x + 0.0 == x`` exactly, so their actual values carry over as is.
+    for begins, ends, actuals, rest in (
+        (left_begins, left_ends, left_actuals, i),
+        (right_begins, right_ends, right_actuals, j),
+    ):
+        for k in range(rest, len(begins)):
+            emit((max(begins[k], position), ends[k], actuals[k]))
     return resilience.fault_value(
         resilience.SITE_LIST_MERGE,
-        SimilarityList.from_entries(pieces, maximum),
+        SimilarityList.from_sorted_pieces(pieces, maximum),
     )
 
 
-def _critical_points(
-    left: SimilarityList, right: SimilarityList
-) -> List[int]:
-    """Sorted distinct positions where either input list may change value.
-
-    Each list's boundary stream ``begin_1, end_1+1, begin_2, end_2+1, …``
-    is already non-decreasing (entries are sorted with disjoint intervals,
-    so ``begin_{i+1} >= end_i + 1``), so a two-pointer merge with
-    duplicate suppression yields the sorted union in
-    ``O(len(left) + len(right))`` — no set, no sort.
-    """
-    left_stream = _boundary_stream(left)
-    right_stream = _boundary_stream(right)
-    points: List[int] = []
-    i = 0
-    j = 0
-    left_len = len(left_stream)
-    right_len = len(right_stream)
-    while i < left_len or j < right_len:
-        if j >= right_len or (i < left_len and left_stream[i] <= right_stream[j]):
-            value = left_stream[i]
-            i += 1
-        else:
-            value = right_stream[j]
-            j += 1
-        if not points or points[-1] != value:
-            points.append(value)
-    return points
-
-
-def _boundary_stream(sim_list: SimilarityList) -> List[int]:
-    """The non-decreasing ``begin, end+1`` stream of one list's entries."""
-    stream: List[int] = []
-    for entry in sim_list:
-        if not stream or stream[-1] != entry.begin:
-            stream.append(entry.begin)
-        stream.append(entry.end + 1)
-    return stream
-
-
-def _constant_value_at(
-    sim_list: SimilarityList, position: int, hint: int
-) -> Tuple[float, int]:
-    """Value of the list at ``position`` using a monotone cursor ``hint``.
-
-    Callers must probe with non-decreasing positions; the cursor then never
-    moves backwards, giving an overall linear walk.
-    """
-    entries = sim_list.entries
-    index = hint
-    while index < len(entries) and entries[index].end < position:
-        index += 1
-    if index < len(entries) and entries[index].begin <= position:
-        return entries[index].actual, index
-    return 0.0, index
+def _columns(
+    sim_list: SimilarityList,
+) -> Tuple[List[int], List[int], List[float]]:
+    """The parallel ``begin``/``end``/``actual`` columns of a list."""
+    intervals = [entry.interval for entry in sim_list.entries]
+    return (
+        [interval.begin for interval in intervals],
+        [interval.end for interval in intervals],
+        [entry.actual for entry in sim_list.entries],
+    )
 
 
 # ---------------------------------------------------------------------------

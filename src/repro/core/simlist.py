@@ -100,12 +100,13 @@ class SimilarityList:
     :meth:`from_raw` (trusting, for the hot path of the merge algorithms).
     """
 
-    __slots__ = ("_entries", "_maximum", "_begin_keys")
+    __slots__ = ("_entries", "_maximum", "_begin_keys", "_max_actual")
 
     def __init__(self, entries: Sequence[SimEntry], maximum: float):
         self._entries: Tuple[SimEntry, ...] = tuple(entries)
         self._maximum = float(maximum)
         self._begin_keys: Optional[List[int]] = None
+        self._max_actual: Optional[float] = None
         if CHECK_INVARIANTS:
             self._check_invariants()
 
@@ -315,6 +316,14 @@ class SimilarityList:
     def fraction_at(self, segment_id: int) -> float:
         """Fractional similarity at one segment."""
         return self.actual_at(segment_id) / self._maximum
+
+    def max_actual(self) -> float:
+        """Largest actual value on the list (0 when empty), computed once."""
+        if self._max_actual is None:
+            self._max_actual = max(
+                (entry.actual for entry in self._entries), default=0.0
+            )
+        return self._max_actual
 
     def segment_ids(self) -> Iterator[int]:
         """Iterate all ids carrying positive similarity, ascending."""

@@ -23,7 +23,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.ranges import FULL, Range
 from repro.core.simlist import SIM_EPS, SimilarityList
@@ -155,9 +164,10 @@ class SimilarityTable:
 
         In ``"outer"`` mode, a row kept from one side only leaves the other
         side's exclusive object variables without values; since the row's
-        partial similarity holds for *every* assignment of those variables,
-        it is expanded over ``universe`` (the object ids of the sequence
-        under evaluation) — finite, and what ∃ quantifies over anyway.
+        partial similarity holds for *every* assignment of those variables
+        that no partner row matched, it is expanded over ``universe`` (the
+        object ids of the sequence under evaluation) — finite, and what ∃
+        quantifies over anyway.
         """
         if mode not in (INNER, OUTER):
             raise HTLTypeError(f"unknown join mode {mode!r}")
@@ -183,6 +193,8 @@ class SimilarityTable:
 
         left_key = _key_extractor(self.object_vars, common_obj)
         right_key = _key_extractor(other.object_vars, common_obj)
+        left_extra = _key_extractor(self.object_vars, left_only_obj)
+        right_extra = _key_extractor(other.object_vars, right_only_obj)
         # Rows are matched over boxes spanning ALL output attribute
         # dimensions (FULL where a side does not constrain the variable),
         # so outer-mode remainders also cover the one-sided dimensions —
@@ -196,49 +208,59 @@ class SimilarityTable:
             right_by_key.setdefault(right_key(row), []).append(row)
 
         out_rows: List[TableRow] = []
-        matched_right_boxes: Dict[int, List[Box]] = {}
+        # Boxes consumed per row, keyed by the partner's exclusive object
+        # values: a match under one partner evaluation leaves the row
+        # unmatched under every other.
+        matched_right_boxes: Dict[int, Dict[Tuple[str, ...], List[Box]]] = {}
         for left_row in self.rows:
             key = left_key(left_row)
+            left_values = left_extra(left_row)
             partners = right_by_key.get(key, [])
             left_box = left_full_box(left_row)
-            consumed: List[Box] = []
+            consumed: Dict[Tuple[str, ...], List[Box]] = {}
             for right_row in partners:
                 right_box = right_full_box(right_row)
                 shared = _box_intersect(left_box, right_box)
                 if shared is None:
                     continue
-                consumed.append(shared)
-                matched_right_boxes.setdefault(
-                    id(right_row), []
+                right_values = right_extra(right_row)
+                consumed.setdefault(right_values, []).append(shared)
+                matched_right_boxes.setdefault(id(right_row), {}).setdefault(
+                    left_values, []
                 ).append(shared)
                 merged = op(left_row.sim, right_row.sim)
-                out_rows.extend(
-                    _joined_rows(
-                        key, left_row, right_row, self, other,
-                        shared, merged, universe,
-                    )
+                out_rows.append(
+                    TableRow(key + left_values + right_values, shared, merged)
                 )
             if mode == OUTER:
                 merged = op(left_row.sim, empty_right)
                 if merged or not consumed:
-                    for remainder in _box_difference_many(left_box, consumed):
-                        out_rows.extend(
-                            _joined_rows(
-                                key, left_row, None, self, other,
-                                remainder, merged, universe,
+                    for right_values, remainder in _unmatched_parts(
+                        left_box, consumed, len(right_only_obj), universe
+                    ):
+                        out_rows.append(
+                            TableRow(
+                                key + left_values + right_values,
+                                remainder,
+                                merged,
                             )
                         )
         if mode == OUTER:
             for right_row in other.rows:
                 right_box = right_full_box(right_row)
-                consumed = matched_right_boxes.get(id(right_row), [])
+                consumed = matched_right_boxes.get(id(right_row), {})
                 merged = op(empty_left, right_row.sim)
                 if merged or not consumed:
-                    for remainder in _box_difference_many(right_box, consumed):
-                        out_rows.extend(
-                            _joined_rows(
-                                right_key(right_row), None, right_row,
-                                self, other, remainder, merged, universe,
+                    key = right_key(right_row)
+                    right_values = right_extra(right_row)
+                    for left_values, remainder in _unmatched_parts(
+                        right_box, consumed, len(left_only_obj), universe
+                    ):
+                        out_rows.append(
+                            TableRow(
+                                key + left_values + right_values,
+                                remainder,
+                                merged,
                             )
                         )
         return SimilarityTable(
@@ -304,55 +326,26 @@ def _box_extractor(
     return lambda row: tuple(row.ranges[p] for p in positions)
 
 
-def _joined_rows(
-    key: Tuple[str, ...],
-    left_row: Optional[TableRow],
-    right_row: Optional[TableRow],
-    left_table: "SimilarityTable",
-    right_table: "SimilarityTable",
+def _unmatched_parts(
     box: Box,
-    merged: SimilarityList,
+    consumed: Dict[Tuple[str, ...], List[Box]],
+    arity: int,
     universe: Sequence[str],
-) -> List[TableRow]:
-    """Assemble output rows in the canonical column order.
+) -> Iterator[Tuple[Tuple[str, ...], Box]]:
+    """Where an outer-join row holds with no partner: ``(values, box)``.
 
-    ``box`` already spans every output attribute dimension.  When one
-    input row is absent (outer-join remainder), the other side's exclusive
-    object variables are expanded over ``universe`` — the partial
-    similarity holds for every assignment of those variables.
+    ``values`` assigns the partner side's exclusive object variables.
+    Under an assignment some partner rows matched, the row survives on its
+    box minus the boxes they consumed; under every other assignment of
+    ``universe`` — the partial similarity holds for each — it survives on
+    its whole box.
     """
-    objects: List[Optional[str]] = list(key)
-    missing = 0
-    for name in left_table.object_vars:
-        if name not in right_table.object_vars:
-            if left_row is not None:
-                objects.append(
-                    left_row.objects[left_table.object_vars.index(name)]
-                )
-            else:
-                objects.append(None)
-                missing += 1
-    for name in right_table.object_vars:
-        if name not in left_table.object_vars:
-            if right_row is not None:
-                objects.append(
-                    right_row.objects[right_table.object_vars.index(name)]
-                )
-            else:
-                objects.append(None)
-                missing += 1
-    if not missing:
-        return [TableRow(tuple(objects), box, merged)]  # type: ignore[arg-type]
-    rows: List[TableRow] = []
-    for assignment in itertools.product(universe, repeat=missing):
-        filled = list(objects)
-        cursor = 0
-        for position, value in enumerate(filled):
-            if value is None:
-                filled[position] = assignment[cursor]
-                cursor += 1
-        rows.append(TableRow(tuple(filled), box, merged))  # type: ignore[arg-type]
-    return rows
+    for values, boxes in consumed.items():
+        for remainder in _box_difference_many(box, boxes):
+            yield values, remainder
+    for values in itertools.product(universe, repeat=arity):
+        if values not in consumed:
+            yield values, box
 
 
 def _full_box_extractor(

@@ -71,6 +71,15 @@ def has_temporal_operator(formula: Formula) -> bool:
     return any(isinstance(node, TEMPORAL_OPERATORS) for node in formula.walk())
 
 
+def has_quantifier(formula: Formula) -> bool:
+    """True when the formula contains an existential quantifier.
+
+    ``∃`` is the only binder of object variables, so a closed formula
+    without one never reads the object universe its ``∃`` would range over.
+    """
+    return any(isinstance(node, Exists) for node in formula.walk())
+
+
 def has_level_operator(formula: Formula) -> bool:
     """True when the formula contains a level modal operator."""
     return any(isinstance(node, LEVEL_OPERATORS) for node in formula.walk())

@@ -14,6 +14,7 @@ numbered from 1, matching the similarity-list convention.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -113,7 +114,9 @@ class VideoNode:
             )
         current: List[VideoNode] = [self]
         for __ in range(level - self.level):
-            current = [child for node in current for child in node.children]
+            current = list(
+                itertools.chain.from_iterable(node.children for node in current)
+            )
         return current
 
     def walk(self) -> Iterator["VideoNode"]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.simlist import SimilarityList
+from repro.core.topk import top_k_across_videos
 from repro.errors import (
     HTLTypeError,
     UnsupportedFormulaError,
@@ -63,6 +64,69 @@ class TestValidation:
         for config in (EngineConfig(), EngineConfig(allow_extensions=True)):
             with pytest.raises(UnsupportedFormulaError):
                 RetrievalEngine(config).evaluate_video(formula, simple_video())
+
+
+class TestObjectUniverse:
+    """The ∃-pool is built only for formulas that contain an ∃."""
+
+    @staticmethod
+    def database(n_videos=3):
+        database = VideoDatabase()
+        for index in range(n_videos):
+            video = flat_video(
+                f"v{index}",
+                [
+                    SegmentMetadata(objects=[make_object("a", "train")]),
+                    SegmentMetadata(objects=[make_object("b", "person")]),
+                    SegmentMetadata(),
+                ],
+            )
+            database.add(video)
+            for name, begin in (("P1", 1), ("P2", 2)):
+                database.register_atomic(
+                    name,
+                    video.name,
+                    SimilarityList.from_entries([((begin, 3), 1.0)], 1.0),
+                )
+        return database
+
+    @staticmethod
+    def count_universe_calls(monkeypatch):
+        calls = []
+        original = Video.object_universe
+
+        def counted(video):
+            calls.append(video.name)
+            return original(video)
+
+        monkeypatch.setattr(Video, "object_universe", counted)
+        return calls
+
+    def test_exists_free_formula_never_walks_the_universe(self, monkeypatch):
+        database = self.database()
+        calls = self.count_universe_calls(monkeypatch)
+        result = top_k_across_videos(
+            RetrievalEngine(),
+            parse("$P1 and eventually $P2"),
+            database,
+            k=5,
+            prune=False,
+        )
+        assert len(result) > 0
+        assert calls == []
+
+    def test_exists_formula_walks_once_per_video(self, monkeypatch):
+        database = self.database()
+        calls = self.count_universe_calls(monkeypatch)
+        result = top_k_across_videos(
+            RetrievalEngine(),
+            parse("exists x . present(x)"),
+            database,
+            k=5,
+            prune=False,
+        )
+        assert len(result) > 0
+        assert sorted(calls) == ["v0", "v1", "v2"]
 
 
 class TestAtomicResolution:

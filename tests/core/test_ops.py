@@ -20,7 +20,7 @@ from repro.core.ops import (
     until_lists,
     until_runs,
 )
-from repro.core.simlist import SIM_EPS, SimilarityList
+from repro.core.simlist import SIM_EPS, SimEntry, SimilarityList
 from repro.errors import SimilarityListInvariantError
 
 from tests.core.test_simlist import similarity_lists
@@ -329,26 +329,41 @@ class TestMaxMerge:
             assert merged.actual_at(i) == pytest.approx(expected)
 
 
-class TestCriticalPoints:
-    @given(similarity_lists(), similarity_lists())
-    @settings(max_examples=60)
-    def test_two_pointer_matches_set_union(self, left, right):
-        from repro.core.ops import _critical_points
+class TestAndSweepExact:
+    """The flat-column AND sweep is bit-identical to the per-segment sum."""
 
-        expected = sorted(
+    @staticmethod
+    def per_segment(left, right):
+        horizon = max(left.last_id(), right.last_id())
+        return SimilarityList.from_segment_values(
             {
-                point
-                for sim in (left, right)
-                for entry in sim
-                for point in (entry.begin, entry.end + 1)
-            }
+                i: left.actual_at(i) + right.actual_at(i)
+                for i in range(1, horizon + 1)
+            },
+            left.maximum + right.maximum,
         )
-        assert _critical_points(left, right) == expected
+
+    @given(similarity_lists(), similarity_lists())
+    @settings(max_examples=200)
+    def test_matches_per_segment_sum_exactly(self, left, right):
+        result = and_lists(left, right)
+        assert result.entries == self.per_segment(left, right).entries
+        assert result.maximum == left.maximum + right.maximum
+
+    @given(similarity_lists())
+    def test_one_sided_exactly(self, sim):
+        empty = SimilarityList.empty(2.0)
+        for left, right in ((sim, empty), (empty, sim)):
+            assert and_lists(left, right).entries == sim.entries
 
     def test_empty_lists(self):
-        from repro.core.ops import _critical_points
-
         empty = SimilarityList.empty(1.0)
-        assert _critical_points(empty, empty) == []
-        one = SimilarityList.from_entries([((2, 4), 1.0)], 1.0)
-        assert _critical_points(one, empty) == [2, 5]
+        assert and_lists(empty, empty).entries == ()
+        assert and_lists(empty, empty).maximum == 2.0
+
+    def test_adjacent_pieces_with_equal_sums_coalesce(self):
+        left = SimilarityList.from_entries([((1, 2), 1.0), ((3, 4), 2.0)], 2.0)
+        right = SimilarityList.from_entries([((1, 2), 1.0)], 2.0)
+        assert and_lists(left, right).entries == (
+            SimEntry(Interval(1, 4), 2.0),
+        )

@@ -169,6 +169,14 @@ def similarity_lists(draw, max_id=80, maximum=10.0):
     return SimilarityList.from_entries(entries, maximum)
 
 
+class TestMaxActual:
+    @given(similarity_lists())
+    def test_matches_entry_scan(self, sim):
+        expected = max((entry.actual for entry in sim), default=0.0)
+        assert sim.max_actual() == expected
+        assert sim.max_actual() == expected  # memoized value
+
+
 class TestRoundTripProperties:
     @given(similarity_lists())
     def test_segment_expansion_round_trips(self, sim):

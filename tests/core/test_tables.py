@@ -201,6 +201,28 @@ class TestOuterJoin:
         assert by_range[interval(1, 3)].actual_at(1) == pytest.approx(1.0)
         assert by_range[interval(7, 10)].actual_at(1) == pytest.approx(1.0)
 
+    def test_row_matched_under_one_partner_value_kept_for_the_others(self):
+        """Left has only x=a, right has y=a and y=b.  The right rows are
+        matched under x=a alone, so under x=b they are one-sided and must
+        still carry their partial similarity."""
+        left = table(("x",), [(("a",), (), sim([((1, 1), 0.5)], 1.0))], 1.0)
+        right = table(
+            ("y",),
+            [
+                (("a",), (), sim([((1, 1), 1.0)], 1.0)),
+                (("b",), (), sim([((1, 1), 1.0)], 1.0)),
+            ],
+            1.0,
+        )
+        joined = left.combine(right, and_lists, mode=OUTER, universe=("a", "b"))
+        by_objects = {row.objects: row.sim for row in joined.rows}
+        assert set(by_objects) == {
+            ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"),
+        }
+        assert by_objects[("a", "b")].actual_at(1) == pytest.approx(1.5)
+        assert by_objects[("b", "a")].actual_at(1) == pytest.approx(1.0)
+        assert by_objects[("b", "b")].actual_at(1) == pytest.approx(1.0)
+
     def test_until_right_only_row_survives_outer(self):
         """until(∅, h) = h at the witness itself - the right-only rows
         matter for until, which is why the outer join covers both sides."""

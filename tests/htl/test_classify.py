@@ -9,6 +9,7 @@ from repro.htl.classify import (
     FormulaClass,
     atomic_subformulas,
     has_level_operator,
+    has_quantifier,
     has_temporal_operator,
     is_non_temporal,
     paper_class,
@@ -181,6 +182,10 @@ class TestHelpers:
     def test_has_temporal_operator(self):
         assert has_temporal_operator(parse("next true"))
         assert not has_temporal_operator(parse("present(x)"))
+
+    def test_has_quantifier(self):
+        assert has_quantifier(parse("eventually exists x . present(x)"))
+        assert not has_quantifier(parse("$P1 and eventually kind() = 'x'"))
 
     def test_has_level_operator(self):
         assert has_level_operator(parse("at_level(3, true)"))

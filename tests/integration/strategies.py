@@ -76,6 +76,11 @@ def flat_videos(draw, min_segments=1, max_segments=7, full_confidence=False):
     return flat_video("random", segments)
 
 
+def flat_videos_with_objects(**kwargs):
+    """Flat videos whose object universe is non-empty."""
+    return flat_videos(**kwargs).filter(lambda video: video.object_universe())
+
+
 @st.composite
 def deep_videos(draw, full_confidence=False):
     """Three-level videos (video → scenes → shots) for level operators."""
@@ -178,6 +183,16 @@ def _combine(children):
 def type1_formulas():
     """Closed type (1) formulas: closed atoms + temporal skeleton."""
     return st.recursive(closed_atoms(), _combine, max_leaves=5)
+
+
+def segment_conditions():
+    """∃-free closed atoms: conjunctions of segment-attribute comparisons."""
+    return st.lists(_atom_conditions([]), min_size=1, max_size=2).map(_conj)
+
+
+def exists_free_formulas():
+    """Closed formulas with no ∃: segment conditions + temporal skeleton."""
+    return st.recursive(segment_conditions(), _combine, max_leaves=5)
 
 
 @st.composite

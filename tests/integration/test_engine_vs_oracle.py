@@ -17,8 +17,10 @@ from repro.core.simlist import SIM_EPS
 from tests.integration.strategies import (
     conjunctive_formulas,
     deep_videos,
+    exists_free_formulas,
     extended_formulas,
     flat_videos,
+    flat_videos_with_objects,
     type1_formulas,
     type2_formulas,
 )
@@ -110,3 +112,26 @@ class TestInnerModeUnderApproximates:
         inner = INNER_ENGINE.evaluate_video(formula, video)
         outer = OUTER_ENGINE.evaluate_video(formula, video)
         assert_lists_equal(inner, outer, "type1 modes")
+
+
+class TestExistsFreeFormulas:
+    """∃-free formulas evaluate with an empty ∃-pool (the engine skips the
+    object-universe walk); over videos that do hold objects both join
+    modes must still equal the oracle, which quantifies over the full
+    universe."""
+
+    @given(exists_free_formulas(), flat_videos_with_objects())
+    @RELAXED
+    def test_outer_matches_oracle(self, formula, video):
+        engine_result = OUTER_ENGINE.evaluate_video(formula, video)
+        assert_lists_equal(
+            engine_result, reference(formula, video), "exists-free outer"
+        )
+
+    @given(exists_free_formulas(), flat_videos_with_objects())
+    @RELAXED
+    def test_inner_matches_oracle(self, formula, video):
+        engine_result = INNER_ENGINE.evaluate_video(formula, video)
+        assert_lists_equal(
+            engine_result, reference(formula, video), "exists-free inner"
+        )

@@ -57,16 +57,15 @@ class TestFullLanguageMode:
             engine_result, reference(formula, video), "full-language"
         )
 
-    def test_disjunction_example(self):
+    @given(flat_videos())
+    @RELAXED
+    def test_disjunction_example(self, video):
         formula = parse(
             "exists x . (eventually (present(x) and type(x) = 'plane')) "
             "or always kind() = 'talk'"
         )
         # Non-prefix ∃ over a disjunction of temporal formulas: rejected
         # by default, supported in extensions mode.
-        from tests.integration.strategies import flat_videos as fv
-
-        video = fv().example()
         with pytest.raises(UnsupportedFormulaError):
             DEFAULT_ENGINE.evaluate_video(formula, video)
         engine_result = FULL_ENGINE.evaluate_video(formula, video)
@@ -74,15 +73,17 @@ class TestFullLanguageMode:
             engine_result, reference(formula, video), "disjunction"
         )
 
-    def test_negated_temporal_still_rejected(self):
+    @given(flat_videos())
+    @RELAXED
+    def test_negated_temporal_still_rejected(self, video):
         formula = parse("not eventually kind() = 'talk'")
-        video = flat_videos().example()
         with pytest.raises(UnsupportedFormulaError):
             FULL_ENGINE.evaluate_video(formula, video)
 
-    def test_non_prefix_exists(self):
+    @given(flat_videos())
+    @RELAXED
+    def test_non_prefix_exists(self, video):
         formula = parse("eventually exists x . next present(x)")
-        video = flat_videos().example()
         engine_result = FULL_ENGINE.evaluate_video(formula, video)
         assert_lists_equal(
             engine_result, reference(formula, video), "non-prefix exists"

@@ -97,3 +97,28 @@ class TestDivergence:
         outer = OUTER.evaluate_video(formula, video)
         assert inner == outer
         assert inner.actual_at(1) == pytest.approx(4.0)
+
+
+def test_outer_keeps_right_rows_unmatched_under_other_left_values():
+    """The until's left side has a row for the person only, its right side
+    one per object; x = plane must still see the right side's presence.
+    Definitional: x = y = plane at segment 2 gives present 1 + until 1."""
+    video = flat_video(
+        "one-sided-until",
+        [
+            SegmentMetadata(),
+            SegmentMetadata(
+                objects=[
+                    make_object("o1", "plane"),
+                    make_object("o3", "person", confidence=0.5),
+                ]
+            ),
+        ],
+    )
+    formula = parse(
+        "exists x, y . next (present(x) and "
+        "(type(x) = 'person' until present(y)))"
+    )
+    assert OUTER.evaluate_video(formula, video).actual_at(1) == pytest.approx(
+        2.0
+    )
