@@ -26,8 +26,9 @@ import random
 import time
 from pathlib import Path
 
+from repro.bench.harness import best_of
 from repro.bench.reporting import write_report_json
-from repro.core import instrument, resilience
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
@@ -60,18 +61,6 @@ RESULTS_PATH = Path("BENCH_chaos.json")
 GENEROUS = dict(deadline_ms=10**9, max_steps=10**12)
 
 
-def best_of(fn, repeat=REPEAT):
-    best = None
-    value = None
-    for __ in range(repeat):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, value
-
-
 def _write_payload(key, value):
     payload = (
         json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else {}
@@ -98,8 +87,8 @@ def test_budget_check_overhead(report):
             with resilience.scope(budget=budget):
                 return engine.evaluate_video(QUERY, video)
 
-        bare_seconds, bare_sim = best_of(bare)
-        budgeted_seconds, budgeted_sim = best_of(budgeted)
+        bare_seconds, bare_sim = best_of(bare, REPEAT)
+        budgeted_seconds, budgeted_sim = best_of(budgeted, REPEAT)
         # An idle budget must never change the answer, only the clock.
         assert budgeted_sim == bare_sim
 
@@ -166,10 +155,10 @@ def test_fallback_recovery_latency(report):
             ):
                 return top_k_across_videos(engine, QUERY, database, k=k)
 
-    clean_seconds, clean_ranking = best_of(fault_free)
-    instrument.reset()
-    degraded_seconds, degraded_ranking = best_of(degraded)
-    fallbacks = instrument.counters().get(instrument.ATOM_FALLBACK, 0)
+    clean_seconds, clean_ranking = best_of(fault_free, REPEAT)
+    trace.METRICS.reset()
+    degraded_seconds, degraded_ranking = best_of(degraded, REPEAT)
+    fallbacks = trace.METRICS.counters().get(trace.ATOM_FALLBACK, 0)
 
     # Recovery must be lossless: the naive oracle scorer answers every
     # atom the broken index cannot, so the ranking is exactly preserved.

@@ -24,6 +24,7 @@ import os
 import random
 import time
 
+from repro.bench.harness import best_of
 from repro.bench.reporting import write_report_json
 from repro.core.engine import RetrievalEngine
 from repro.htl import parse
@@ -55,18 +56,6 @@ QUERY = "exists x . present(x) and type(x) = 'person'"
 _RESULTS = {}
 
 
-def best_of(fn, repeat=REPEAT):
-    best = None
-    value = None
-    for __ in range(repeat):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, value
-
-
 def make_corpus(rng):
     prefix = build_segments(N_SEGMENTS, DENSITY, rng)
     batch = build_segments(BATCH, DENSITY, rng)
@@ -92,7 +81,8 @@ def test_incremental_append_vs_rebuild(report):
             appended = system
 
     rebuild_seconds, rebuilt = best_of(
-        lambda: PictureRetrievalSystem(prefix + batch)
+        lambda: PictureRetrievalSystem(prefix + batch),
+        REPEAT,
     )
 
     # Same answers, not just same speed class.

@@ -20,11 +20,11 @@ seconds-scale run.
 import json
 import os
 import random
-import time
 from pathlib import Path
 
 import pytest
 
+from repro.bench.harness import best_of
 from repro.bench.reporting import write_report_json
 from repro.core.cache import EvaluationCache
 from repro.core.engine import RetrievalEngine
@@ -45,18 +45,6 @@ FORMULA = parse("$P1 and eventually $P2")
 REPEAT = 3 if QUICK else 5
 
 RESULTS_PATH = Path("BENCH_multivideo.json")
-
-
-def best_of(fn, repeat=REPEAT):
-    best = None
-    value = None
-    for __ in range(repeat):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, value
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +71,8 @@ def test_multivideo_topk_fast_path(corpus, report):
     cold_seconds, baseline = best_of(
         lambda: top_k_across_videos(
             cold_engine, FORMULA, corpus, K, parallelism=None, prune=False
-        )
+        ),
+        REPEAT,
     )
 
     cache = EvaluationCache()
@@ -91,13 +80,15 @@ def test_multivideo_topk_fast_path(corpus, report):
     # Populate the cache, then time repeated-query latency.
     top_k_across_videos(warm_engine, FORMULA, corpus, K)
     warm_seconds, warm_result = best_of(
-        lambda: top_k_across_videos(warm_engine, FORMULA, corpus, K)
+        lambda: top_k_across_videos(warm_engine, FORMULA, corpus, K),
+        REPEAT,
     )
 
     pruned_seconds, pruned_result = best_of(
         lambda: top_k_across_videos(
             RetrievalEngine(), FORMULA, corpus, K, parallelism=None, prune=True
-        )
+        ),
+        REPEAT,
     )
 
     parallel_seconds, parallel_result = best_of(
@@ -108,7 +99,8 @@ def test_multivideo_topk_fast_path(corpus, report):
             K,
             parallelism=PARALLELISM,
             prune=True,
-        )
+        ),
+        REPEAT,
     )
 
     # Acceptance: identical rankings, and the warm cache pays off >= 5x.
@@ -174,9 +166,9 @@ def test_invariant_check_overhead(report):
 
     previous = set_invariant_checks(False)
     try:
-        unchecked_seconds, unchecked = best_of(merge)
+        unchecked_seconds, unchecked = best_of(merge, REPEAT)
         set_invariant_checks(True)
-        checked_seconds, checked = best_of(merge)
+        checked_seconds, checked = best_of(merge, REPEAT)
     finally:
         set_invariant_checks(previous)
 

@@ -26,11 +26,11 @@ seconds-scale run.
 """
 
 import os
-import time
 from pathlib import Path
 
 import pytest
 
+from repro.bench.harness import best_of
 from repro.bench.reporting import write_report_json
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.topk import top_k_across_videos
@@ -46,7 +46,6 @@ N_SEGMENTS = 125 if QUICK else 320
 RARE_VIDEOS = 2  #: videos that contain the rare type at all
 RARE_PER_VIDEO = 8  #: rare-type segments within those videos
 K = 10
-REPEAT = 3 if QUICK else 5
 
 #: Both conjuncts are (1 free var, 1 temporal op, size 2) — a structural
 #: tie that only index statistics can break.
@@ -55,18 +54,6 @@ FORMULA = parse(
 )
 
 RESULTS_PATH = Path("BENCH_planner.json")
-
-
-def best_of(fn, repeat=REPEAT):
-    best = None
-    value = None
-    for __ in range(repeat):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, value
 
 
 def skewed_corpus():

@@ -28,11 +28,11 @@ run.
 
 import os
 import random
-import time
 from pathlib import Path
 
 import pytest
 
+from repro.bench.harness import best_of
 from repro.bench.reporting import write_report_json
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import OUTCOME_OK, OUTCOME_PRUNED, top_k_across_videos
@@ -55,18 +55,6 @@ FORMULA = parse("$P1 and $P2")
 REPEAT = 3 if QUICK else 5
 
 RESULTS_PATH = Path("BENCH_shards.json")
-
-
-def best_of(fn, repeat=REPEAT):
-    best = None
-    value = None
-    for __ in range(repeat):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, value
 
 
 def graded_corpus(density, seed=1997):
@@ -150,7 +138,8 @@ def test_shard_scaling_and_pruning(sparse_corpus, dense_corpus, report):
     serial_seconds, serial = best_of(
         lambda: top_k_across_videos(
             engine, FORMULA, sparse_corpus, K, parallelism=None, prune=False
-        )
+        ),
+        REPEAT,
     )
     expected = [(r.video, r.segment_id, r.actual, r.maximum) for r in serial]
 
@@ -161,7 +150,8 @@ def test_shard_scaling_and_pruning(sparse_corpus, dense_corpus, report):
         seconds, result = best_of(
             lambda corpus=corpus, n=n_shards: corpus.top_k(
                 engine, FORMULA, K, parallelism=n
-            )
+            ),
+            REPEAT,
         )
         assert result == serial, f"ranking diverged at {n_shards} shard(s)"
         scaling[n_shards] = seconds

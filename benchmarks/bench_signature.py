@@ -18,9 +18,9 @@ Emits ``BENCH_signature.json`` in the current working directory.  Set
 
 import os
 import random
-import time
 from pathlib import Path
 
+from repro.bench.harness import best_of
 from repro.bench.reporting import write_report_json
 from repro.core.simlist import SIM_EPS, SimilarityList
 from repro.model.metadata import SegmentMetadata
@@ -43,18 +43,6 @@ REPEAT = 2 if QUICK else 3
 REQUIRED_SPEEDUP = 1.5 if QUICK else 2.0
 
 RESULTS_PATH = Path("BENCH_signature.json")
-
-
-def best_of(fn, repeat=REPEAT):
-    best = None
-    value = None
-    for __ in range(repeat):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, value
 
 
 def random_signature(rng):
@@ -107,10 +95,13 @@ def test_signature_retrieval(report):
         ]
         atom = looks_like_atom(clip, THETA, name="probe")
 
-        oracle_seconds, oracle = best_of(lambda: oracle_list(atom, segments))
+        oracle_seconds, oracle = best_of(
+            lambda: oracle_list(atom, segments), REPEAT
+        )
         system.stats.reset()
         indexed_seconds, indexed = best_of(
-            lambda: system.similarity_list(atom, use_index=True)
+            lambda: system.similarity_list(atom, use_index=True),
+            REPEAT,
         )
         assert indexed == oracle, (
             f"indexed ranking diverged from the brute-force oracle at "

@@ -19,6 +19,7 @@ import os
 import random
 import time
 
+from repro.bench.harness import best_of
 from repro.bench.reporting import write_report_json
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
@@ -44,18 +45,6 @@ VERIFY_OVERHEAD_LIMIT = 2.0 if QUICK else 0.25
 RESULTS_PATH = "BENCH_store.json"
 
 
-def best_of(fn, repeat=REPEAT):
-    best = None
-    value = None
-    for __ in range(repeat):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, value
-
-
 def build_database():
     rng = random.Random(20260806)
     database = VideoDatabase()
@@ -77,14 +66,15 @@ def test_store_save_load(tmp_path, report):
     reference = database_to_dict(database)
 
     save_store = Store(tmp_path / "save-bench", keep=1)
-    save_seconds, info = best_of(lambda: save_store.save(database))
+    save_seconds, info = best_of(lambda: save_store.save(database), REPEAT)
 
     read_store = Store(tmp_path / "read-bench", keep=1)
     read_store.save(database)
     unverified_seconds, unverified = best_of(
-        lambda: read_store.load(verify=False)
+        lambda: read_store.load(verify=False),
+        REPEAT,
     )
-    verified_seconds, verified = best_of(lambda: read_store.load())
+    verified_seconds, verified = best_of(lambda: read_store.load(), REPEAT)
 
     # Durability must not change the data: both loads rebuild the
     # reference database exactly, and neither takes a recovery action.

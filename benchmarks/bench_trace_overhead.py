@@ -31,8 +31,9 @@ import random
 import time
 from pathlib import Path
 
-from repro.bench.reporting import metrics_payload, write_report_json
-from repro.core import instrument, trace
+from repro.bench.harness import best_of
+from repro.bench.reporting import write_report_json
+from repro.core import trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
@@ -61,18 +62,6 @@ QUERY = parse(
 RESULTS_PATH = Path("BENCH_trace.json")
 
 
-def best_of(fn, repeat=REPEAT):
-    best = None
-    value = None
-    for __ in range(repeat):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, value
-
-
 def _write_payload(key, value):
     payload = (
         json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else {}
@@ -99,7 +88,7 @@ def _disabled_site_seconds():
     metrics off): the exact code every instrumented region runs when
     observability is idle."""
     assert trace.current() is None
-    assert not instrument.is_enabled()
+    assert not trace.METRICS.is_enabled()
 
     def burst():
         for __ in range(MICRO_ITERATIONS):
@@ -108,13 +97,13 @@ def _disabled_site_seconds():
             ):
                 pass
 
-    seconds, __ = best_of(burst)
+    seconds, __ = best_of(burst, REPEAT)
     return seconds / MICRO_ITERATIONS
 
 
 def test_disabled_path_overhead(report):
-    instrument.disable()
-    instrument.reset()
+    trace.METRICS.disable()
+    trace.METRICS.reset()
     database = _corpus()
     engine = RetrievalEngine()
     k = 10
@@ -122,7 +111,7 @@ def test_disabled_path_overhead(report):
     def bare():
         return top_k_across_videos(engine, QUERY, database, k=k)
 
-    bare_seconds, bare_ranking = best_of(bare)
+    bare_seconds, bare_ranking = best_of(bare, REPEAT)
 
     # One span per site execution: a traced run of the same query counts
     # exactly the sites the bare run passes through.
@@ -175,16 +164,16 @@ def test_enabled_tracing_cost(report):
         return top_k_across_videos(engine, QUERY, database, k=k)
 
     def traced():
-        instrument.enable()
+        trace.METRICS.enable()
         try:
             return top_k_across_videos(
                 engine, QUERY, database, k=k, profile=True
             )
         finally:
-            instrument.disable()
+            trace.METRICS.disable()
 
-    bare_seconds, bare_ranking = best_of(bare)
-    traced_seconds, traced_ranking = best_of(traced)
+    bare_seconds, bare_ranking = best_of(bare, REPEAT)
+    traced_seconds, traced_ranking = best_of(traced, REPEAT)
     # Tracing must never change the answer, only the clock.
     assert traced_ranking.segments == bare_ranking.segments
 
@@ -214,6 +203,6 @@ def test_enabled_tracing_cost(report):
             "traced_seconds": traced_seconds,
             "ratio": ratio,
             "stage_breakdown": breakdown,
-            "metrics": metrics_payload(),
+            "metrics": trace.metrics_payload(),
         },
     )

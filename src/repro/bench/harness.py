@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.simlist import SimilarityList
 from repro.htl import ast, parse
 from repro.sqlbaseline.system import SQLRetrievalSystem
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -43,19 +45,22 @@ class ComparisonRow:
         return self.sql_seconds / self.direct_seconds
 
 
+def best_of(fn: Callable[[], T], repeat: int = 3) -> Tuple[float, T]:
+    """Best-of-``repeat`` wall-clock seconds of ``fn()`` and its last result."""
+    best = float("inf")
+    for __ in range(max(repeat, 1)):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
 def time_call(
     fn: Callable[[], SimilarityList], repeat: int = 3
 ) -> Measurement:
     """Best-of-``repeat`` wall-clock timing."""
-    best: Optional[float] = None
-    result: Optional[SimilarityList] = None
-    for __ in range(max(repeat, 1)):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    assert result is not None and best is not None
+    best, result = best_of(fn, repeat)
+    assert result is not None
     return Measurement(best, result)
 
 

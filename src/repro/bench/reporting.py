@@ -11,22 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Iterable, Sequence, Tuple, Union
 
 from repro.core.simlist import SimilarityList
 from repro.core.topk import ranked_entries
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.trace import Span
 
 
 def format_table(
@@ -66,56 +54,6 @@ def write_report_json(
         "utf-8"
     )
     atomic_write_bytes(path, data, fsync=False)
-
-
-def metrics_payload() -> dict:
-    """The metrics registry as a JSON-safe dict (for ``BENCH_*.json``).
-
-    One coherent snapshot: per-stage totals, event counters, and latency
-    histogram summaries with p50/p95/p99 (DESIGN.md §10).
-    """
-    from repro.core import instrument
-
-    snapshot = instrument.snapshot()
-    return {
-        "stages": {
-            name: {"seconds": total.seconds, "calls": total.calls}
-            for name, total in snapshot["stages"].items()
-        },
-        "counters": dict(snapshot["counters"]),
-        "histograms": {
-            name: {
-                "count": summary.count,
-                "total": summary.total,
-                "mean": summary.mean,
-                "min": summary.minimum,
-                "max": summary.maximum,
-                "p50": summary.p50,
-                "p95": summary.p95,
-                "p99": summary.p99,
-            }
-            for name, summary in snapshot["histograms"].items()
-        },
-    }
-
-
-def trace_payload(root: "Span") -> dict:
-    """One span tree as a JSON-safe dict, with its per-stage rollup."""
-    return {
-        "spans": root.to_dict(),
-        "stage_breakdown": {
-            name: {"seconds": total.seconds, "calls": total.calls}
-            for name, total in root.stage_totals().items()
-        },
-    }
-
-
-def observability_payload(root: Optional["Span"] = None) -> dict:
-    """The full observability export: registry metrics + optional trace."""
-    payload = {"metrics": metrics_payload()}
-    if root is not None:
-        payload["trace"] = trace_payload(root)
-    return payload
 
 
 def similarity_table_text(

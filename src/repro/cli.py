@@ -16,8 +16,8 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-from repro.bench.reporting import similarity_table_text
-from repro.core import resilience
+from repro.bench.reporting import format_table, similarity_table_text
+from repro.core import resilience, trace
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.topk import top_k_across_videos, top_k_segments
 from repro.errors import (
@@ -55,7 +55,6 @@ from repro.errors import (
 )
 from repro.htl import parse, paper_class, pretty, skeleton_class
 from repro.model.database import VideoDatabase
-from repro.sqlbaseline.system import SQLRetrievalSystem
 from repro.workloads.casablanca import casablanca_database
 from repro.workloads.clips import clips_database
 from repro.workloads.movies import example_database
@@ -849,12 +848,41 @@ def cmd_run(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def stage_report_text(title: str = "Per-stage timing") -> str:
+    """The accumulated stage totals as an aligned text table."""
+    rows = [
+        (name, f"{total.seconds:.4f}", total.calls)
+        for name, total in sorted(trace.METRICS.totals().items())
+    ]
+    if not rows:
+        rows = [("(no stages recorded)", "-", "-")]
+    table = format_table(("Stage", "Seconds", "Calls"), rows)
+    return f"{title}\n{table}"
+
+
+def latency_report_text(title: str = "Latency percentiles (ms)") -> str:
+    """The latency histograms as an aligned text table, or "" when none
+    have been recorded (histograms collect only while enabled)."""
+    summaries = trace.METRICS.histograms()
+    if not summaries:
+        return ""
+    rows = [
+        (
+            name,
+            summary.count,
+            f"{summary.p50 * 1000:.3f}",
+            f"{summary.p95 * 1000:.3f}",
+            f"{summary.p99 * 1000:.3f}",
+            f"{summary.maximum * 1000:.3f}",
+        )
+        for name, summary in sorted(summaries.items())
+    ]
+    table = format_table(("Histogram", "Count", "p50", "p95", "p99", "Max"), rows)
+    return f"{title}\n{table}"
+
+
 def cmd_trace(arguments: argparse.Namespace) -> int:
     import json
-
-    from repro.bench.reporting import observability_payload
-    from repro.bench.stages import latency_report_text, stage_report_text
-    from repro.core import instrument, trace
 
     video_name, loader = _DATASETS[arguments.dataset]
     database: VideoDatabase = loader()
@@ -862,8 +890,8 @@ def cmd_trace(arguments: argparse.Namespace) -> int:
     formula = parse(arguments.query)
     engine = RetrievalEngine()
     level = _resolve_level(video, arguments.level)
-    was_enabled = instrument.is_enabled()
-    instrument.enable()
+    was_enabled = trace.METRICS.is_enabled()
+    trace.METRICS.enable()
     try:
         results = top_k_across_videos(
             engine,
@@ -877,7 +905,7 @@ def cmd_trace(arguments: argparse.Namespace) -> int:
         if arguments.json:
             print(
                 json.dumps(
-                    observability_payload(results.profile),
+                    trace.observability_payload(results.profile),
                     indent=2,
                     sort_keys=True,
                 )
@@ -892,7 +920,7 @@ def cmd_trace(arguments: argparse.Namespace) -> int:
             print(latency)
     finally:
         if not was_enabled:
-            instrument.disable()
+            trace.METRICS.disable()
     print(f"\nTop {arguments.top} segments across "
           f"{len(results.outcomes)} videos:")
     for rank, segment in enumerate(results, start=1):
@@ -904,6 +932,8 @@ def cmd_trace(arguments: argparse.Namespace) -> int:
 
 
 def cmd_sql(arguments: argparse.Namespace) -> int:
+    from repro.sqlbaseline.system import SQLRetrievalSystem
+
     formula = parse(arguments.query)
     workload = perf_workload(arguments.size, extra_predicates=2)
     system = SQLRetrievalSystem()

@@ -64,7 +64,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core import instrument, trace
+from repro.core import trace
 from repro.core.cache import PlanCache
 from repro.core.simlist import SIM_EPS
 from repro.core.tables import INNER
@@ -83,7 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pictures.retrieval import PictureRetrievalSystem
 
 #: Always-on counter names (flow into the observability payload via
-#: ``instrument.counters()`` like every other ``trace.bump`` counter).
+#: ``trace.METRICS.counters()`` like every other ``trace.bump`` counter).
 PLAN_BUILT = "plan-built"
 PLAN_CACHE_HIT = "plan-cache-hit"
 PLAN_CACHE_MISS = "plan-cache-miss"
@@ -265,10 +265,10 @@ class CostModel:
         changes: Dict[str, Any] = {}
         if cost > 0 and observed_seconds > 0:
             changes["unit_seconds"] = observed_seconds / cost
-        if instrument.is_enabled():
-            totals = instrument.totals()
-            scoring = totals.get(instrument.ATOM_SCORING)
-            algebra = totals.get(instrument.LIST_ALGEBRA)
+        if trace.METRICS.is_enabled():
+            totals = trace.METRICS.totals()
+            scoring = totals.get(trace.ATOM_SCORING)
+            algebra = totals.get(trace.LIST_ALGEBRA)
             if (
                 scoring is not None
                 and algebra is not None

@@ -27,7 +27,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine, actual_upper_bound
 from repro.core.simlist import SIM_EPS, SimilarityList, SimilarityValue
 from repro.errors import BudgetExceededError, UnsupportedFormulaError
@@ -385,7 +385,7 @@ class TopKResult(Sequence):
         and the benchmarks embed in ``BENCH_*.json``: ranked segments,
         the per-video outcome ledger, and the partial flag.  ``profile``
         is *not* embedded — span trees export separately through
-        :func:`repro.bench.reporting.observability_payload`.
+        :func:`repro.core.trace.observability_payload`.
         """
         return {
             "segments": [
@@ -460,7 +460,7 @@ def top_k_across_videos(
     attaches its root to ``TopKResult.profile``.  Per-video spans carry
     the :class:`VideoOutcome` status, budget-step consumption and cache
     hit/miss deltas; fallbacks and breaker trips appear as span events.
-    With metrics enabled (``instrument.enable()``), query and per-video
+    With metrics enabled (``trace.METRICS.enable()``), query and per-video
     latencies additionally feed the ``query-seconds`` /
     ``video-seconds`` histograms.
 
@@ -480,7 +480,7 @@ def top_k_across_videos(
     """
     if k <= 0:
         return TopKResult([])
-    if not instrument.is_enabled():
+    if not trace.METRICS.is_enabled():
         return _dispatch_top_k(
             engine, formula, database, k, level, parallelism, prune,
             budget, policy, lenient, profile, exchange,
@@ -492,8 +492,8 @@ def top_k_across_videos(
             budget, policy, lenient, profile, exchange,
         )
     finally:
-        instrument.observe(
-            instrument.QUERY_LATENCY, time.perf_counter() - started
+        trace.METRICS.observe(
+            trace.QUERY_LATENCY, time.perf_counter() - started
         )
 
 
@@ -685,14 +685,14 @@ def _top_k_impl(
     strict = context is None or not context.policy.lenient
 
     def evaluate(video: Video) -> SimilarityList:
-        if not instrument.is_enabled():
+        if not trace.METRICS.is_enabled():
             return _evaluate(video)
         eval_started = time.perf_counter()
         try:
             return _evaluate(video)
         finally:
-            instrument.observe(
-                instrument.VIDEO_LATENCY, time.perf_counter() - eval_started
+            trace.METRICS.observe(
+                trace.VIDEO_LATENCY, time.perf_counter() - eval_started
             )
 
     def _evaluate(video: Video) -> SimilarityList:

@@ -2,18 +2,17 @@
 
 The paper's experimental story (§5, Tables 5–6, Figure 2) attributes
 retrieval cost to individual operators — atom scoring vs. list algebra
-vs. ranking — and this module is where that attribution lives:
+vs. ranking — and this module is the one metrics API of the package:
 
-* :class:`MetricsRegistry` — the thread-safe home of the flat metrics the
-  old ``repro.core.instrument`` globals used to hold: event counters
-  (always on), per-stage wall-clock totals and latency histograms with
-  p50/p95/p99 (collected while :meth:`~MetricsRegistry.enable`\\ d).  One
-  process-wide instance, :data:`METRICS`, backs the
-  :mod:`repro.core.instrument` compatibility facade.  All mutation happens
-  in place under one lock, so a ``reset()`` racing a worker thread can
-  never strand updates in a discarded dict, and :meth:`~MetricsRegistry.
-  drain` snapshots-and-clears atomically (counts are conserved across
-  drains by construction).
+* :class:`MetricsRegistry` — thread-safe event counters (always on),
+  per-stage wall-clock totals and latency histograms with p50/p95/p99
+  (collected while :meth:`~MetricsRegistry.enable`\\ d).  One
+  process-wide instance, :data:`METRICS`, is what every layer counts
+  into; the canonical counter and histogram names live below.  All
+  mutation happens in place under one lock, so a ``reset()`` racing a
+  worker thread can never strand updates in a discarded dict, and
+  :meth:`~MetricsRegistry.drain` snapshots-and-clears atomically (counts
+  are conserved across drains by construction).
 * :class:`TraceRecorder` / :class:`Span` — hierarchical per-query trace
   spans (query → video → subformula → atom-sweep / list-op / top-k) with
   wall-clock, call counts, counter deltas and events attached per span.
@@ -21,17 +20,22 @@ vs. ranking — and this module is where that attribution lives:
   worker threads join a fan-out with :func:`capture`/:func:`adopt`, so
   the span tree stays correctly parented under the top-k thread pool.
 * :func:`staged_span` — the bridge: one ``perf_counter`` pair per
-  instrumented region feeds *both* the legacy stage totals and the span,
-  so a span tree's per-stage rollup reconciles with
-  ``instrument.totals()`` exactly, not approximately.
+  timed region feeds *both* the stage totals and the span, so a span
+  tree's per-stage rollup reconciles with ``METRICS.totals()`` exactly,
+  not approximately.
+* :func:`event` — one call per counted control-flow event: it bumps the
+  counter in :data:`METRICS` and, when tracing, attaches a point event
+  to the current span.
+* :func:`observability_payload` — the JSON export of the registry and
+  one span tree (the ``htl-query trace --json`` payload).
 
 When no recorder is installed every span site costs one thread-local
 attribute read (gated by ``benchmarks/bench_trace_overhead.py``); when no
 recorder is installed *and* metrics are disabled, :func:`staged_span`
 adds one boolean check on top.
 
-Lives under :mod:`repro.core` below :mod:`repro.core.instrument` (which
-imports it) so the engine, the picture layer and the store can all
+Lives under :mod:`repro.core` and imports nothing from the package, so
+the engine, the picture layer, the store and every service layer can
 import it without cycles.
 """
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -56,6 +60,43 @@ __all__ = [
     "ATOM_SCORING",
     "LIST_ALGEBRA",
     "TOP_K",
+    "ATOM_FALLBACK",
+    "ATOM_BREAKER_OPEN",
+    "ENGINE_FALLBACK",
+    "SQL_FALLBACK",
+    "BUDGET_EXCEEDED",
+    "BREAKER_OPENED",
+    "BREAKER_RECOVERED",
+    "FAULT_INJECTED",
+    "STORE_SNAPSHOT_SAVED",
+    "STORE_SNAPSHOT_LOADED",
+    "STORE_ARTIFACT_QUARANTINED",
+    "STORE_SNAPSHOT_FALLBACK",
+    "STORE_INDEX_REBUILT",
+    "STORE_MANIFEST_RECOVERED",
+    "SHARD_LOADED",
+    "SHARD_FAILED",
+    "SHARD_LOAD_RETRIED",
+    "SERVE_ADMITTED",
+    "SERVE_REJECTED",
+    "SERVE_COMPLETED",
+    "SERVE_TIMED_OUT",
+    "SERVE_SHED",
+    "SERVE_DEGRADED",
+    "SERVE_REQUEUED",
+    "WAL_RECORD_APPENDED",
+    "WAL_COMMITTED",
+    "WAL_RECORD_REPLAYED",
+    "WAL_TAIL_TRUNCATED",
+    "WAL_RECORD_QUARANTINED",
+    "INGEST_CHECKPOINT",
+    "INDEX_APPENDED",
+    "SIGNATURE_DEGRADED",
+    "QUERY_LATENCY",
+    "VIDEO_LATENCY",
+    "SERVE_ADMISSION_LATENCY",
+    "SERVE_QUEUE_WAIT",
+    "SERVE_REQUEST_LATENCY",
     "KIND_QUERY",
     "KIND_SHARD",
     "KIND_VIDEO",
@@ -85,17 +126,86 @@ __all__ = [
     "annotate",
     "stage_breakdown",
     "render_text",
+    "metrics_payload",
+    "trace_payload",
+    "observability_payload",
 ]
 
-#: Canonical stage names used across the engine.  Defined here (rather
-#: than in :mod:`repro.core.instrument`, which re-exports them) so the
-#: kind→stage mapping below needs no upward import.
+#: Canonical stage names used across the engine.
 ATOM_SCORING = "atom-scoring"
 LIST_ALGEBRA = "list-algebra"
 TOP_K = "top-k"
 
+#: Canonical event-counter names of the resilience layer.  Unlike stage
+#: timings, counters are always on: they record rare control-flow events
+#: (fallbacks, breaker trips, budget overruns), so the bookkeeping cost is
+#: paid only when something already went wrong.
+ATOM_FALLBACK = "atom-fallback"
+ATOM_BREAKER_OPEN = "atom-breaker-open"
+ENGINE_FALLBACK = "engine-fallback"
+SQL_FALLBACK = "sql-fallback"
+BUDGET_EXCEEDED = "budget-exceeded"
+BREAKER_OPENED = "breaker-opened"
+BREAKER_RECOVERED = "breaker-recovered"
+FAULT_INJECTED = "fault-injected"
+
+#: Canonical event-counter names of the durable store (DESIGN.md §9).
+#: Every recovery action the store takes is surfaced here, so an
+#: operator can tell "loaded clean" from "loaded after quarantining a
+#: rotten artifact and falling back one snapshot".
+STORE_SNAPSHOT_SAVED = "store-snapshot-saved"
+STORE_SNAPSHOT_LOADED = "store-snapshot-loaded"
+STORE_ARTIFACT_QUARANTINED = "store-artifact-quarantined"
+STORE_SNAPSHOT_FALLBACK = "store-snapshot-fallback"
+STORE_INDEX_REBUILT = "store-index-rebuilt"
+STORE_MANIFEST_RECOVERED = "store-manifest-recovered"
+
+#: Canonical event-counter names of the sharded corpus (DESIGN.md §12).
+SHARD_LOADED = "shard-loaded"
+SHARD_FAILED = "shard-failed"
+SHARD_LOAD_RETRIED = "shard-load-retried"
+
+#: Canonical event-counter names of the serving layer (DESIGN.md §14).
+#: The first six are the request ledger — every admitted request bumps
+#: exactly one of completed/timed-out/shed, which is the conservation
+#: law the chaos suite asserts.
+SERVE_ADMITTED = "serve-admitted"
+SERVE_REJECTED = "serve-rejected"
+SERVE_COMPLETED = "serve-completed"
+SERVE_TIMED_OUT = "serve-timed-out"
+SERVE_SHED = "serve-shed"
+SERVE_DEGRADED = "serve-degraded"
+SERVE_REQUEUED = "serve-requeued"
+
+#: Canonical event-counter names of the streaming-ingest layer
+#: (DESIGN.md §15).  The append/commit pair is the durability ledger
+#: (records written vs. records made durable); the replay/truncate/
+#: quarantine trio surfaces every recovery action, mirroring the store's
+#: counters above.
+WAL_RECORD_APPENDED = "wal-record-appended"
+WAL_COMMITTED = "wal-committed"
+WAL_RECORD_REPLAYED = "wal-record-replayed"
+WAL_TAIL_TRUNCATED = "wal-tail-truncated"
+WAL_RECORD_QUARANTINED = "wal-record-quarantined"
+INGEST_CHECKPOINT = "ingest-checkpoint"
+INDEX_APPENDED = "index-appended"
+
+#: Canonical event-counter name of the analyzer's signature stage
+#: (DESIGN.md §16): a shot whose content-signature build failed and was
+#: annotated signature-less (annotation-only metadata) instead.
+SIGNATURE_DEGRADED = "signature-degraded"
+
+#: Canonical latency-histogram names of the top-k layer (seconds).
+QUERY_LATENCY = "query-seconds"
+VIDEO_LATENCY = "video-seconds"
+
+#: Canonical latency-histogram names of the serving layer (seconds).
+SERVE_ADMISSION_LATENCY = "serve-admission-seconds"
+SERVE_QUEUE_WAIT = "serve-queue-wait-seconds"
+SERVE_REQUEST_LATENCY = "serve-request-seconds"
+
 #: Span kinds.  A span's kind says which layer emitted it; the
-#: :data:`KIND_TO_STAGE` map says which legacy stage (if any) its
+#: :data:`KIND_TO_STAGE` map says which stage (if any) its
 #: duration is attributed to.
 KIND_SERVE = "serve"
 KIND_QUERY = "query"
@@ -270,7 +380,7 @@ class MetricsRegistry:
 
         The delta is also attached to the innermost active trace span of
         the calling thread, so per-span counter deltas come for free at
-        every existing ``instrument.count`` site.
+        every counting site.
         """
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
@@ -398,8 +508,7 @@ class MetricsRegistry:
             self._exit_frame(name, outermost, elapsed)
 
 
-#: The process-wide registry behind the :mod:`repro.core.instrument`
-#: compatibility facade.
+#: The process-wide registry every layer counts and times into.
 METRICS = MetricsRegistry()
 
 
@@ -484,9 +593,9 @@ class Span:
 
         Only kinds in :data:`KIND_TO_STAGE` contribute — container spans
         overlap their children and would double-count.  Because
-        :func:`staged_span` feeds the legacy stage timers from the same
-        ``perf_counter`` pair, this rollup reconciles with
-        ``instrument.totals()`` for a traced, metrics-enabled run.
+        :func:`staged_span` feeds the registry's stage timers from the
+        same ``perf_counter`` pair, this rollup reconciles with
+        ``METRICS.totals()`` for a traced, metrics-enabled run.
         """
         totals: Dict[str, StageTotal] = {}
         for node in self.walk():
@@ -712,10 +821,10 @@ def staged_span(
     With no recorder installed this is exactly ``METRICS.stage(...)``
     (and a plain pass-through when metrics are disabled too).  With a
     recorder, the span's ``perf_counter`` pair is the *only* measurement:
-    its duration is credited to the legacy stage under the same
+    its duration is credited to the stage under the same
     outermost-frame and enabled-at-entry-and-exit rules as
     :meth:`MetricsRegistry.stage` — which is why a trace's per-stage
-    rollup reconciles exactly with ``instrument.totals()``.
+    rollup reconciles exactly with ``METRICS.totals()``.
     """
     recorder = getattr(_tls, "recorder", None)
     if recorder is None:
@@ -738,7 +847,13 @@ def staged_span(
 
 
 def event(name: str, detail: str = "") -> Optional[SpanEvent]:
-    """Emit a point event onto the current span (no-op when tracing off)."""
+    """Count one control-flow event and, when tracing, record it.
+
+    Always bumps counter ``name`` in :data:`METRICS` (counters are always
+    on); with a recorder active it also attaches a point event carrying
+    ``detail`` to the current span and returns it.
+    """
+    METRICS.count(name)
     recorder = getattr(_tls, "recorder", None)
     if recorder is None:
         return None
@@ -794,3 +909,55 @@ def render_text(root: Span, indent: int = 0) -> str:
     for child in sorted(root.children, key=lambda node: node.start):
         lines.append(render_text(child, indent + 1))
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# JSON export
+# ---------------------------------------------------------------------------
+def _stage_dict(totals: Dict[str, StageTotal]) -> Dict[str, Dict[str, Any]]:
+    return {
+        name: {"seconds": total.seconds, "calls": total.calls}
+        for name, total in totals.items()
+    }
+
+
+def metrics_payload() -> Dict[str, Any]:
+    """The metrics registry as a JSON-safe dict (for ``BENCH_*.json``).
+
+    One coherent snapshot: per-stage totals, event counters, and latency
+    histogram summaries with p50/p95/p99 (DESIGN.md §10).
+    """
+    snapshot = METRICS.snapshot()
+    return {
+        "stages": _stage_dict(snapshot["stages"]),
+        "counters": dict(snapshot["counters"]),
+        "histograms": {
+            name: {
+                "count": summary.count,
+                "total": summary.total,
+                "mean": summary.mean,
+                "min": summary.minimum,
+                "max": summary.maximum,
+                "p50": summary.p50,
+                "p95": summary.p95,
+                "p99": summary.p99,
+            }
+            for name, summary in snapshot["histograms"].items()
+        },
+    }
+
+
+def trace_payload(root: Span) -> Dict[str, Any]:
+    """One span tree as a JSON-safe dict, with its per-stage rollup."""
+    return {
+        "spans": root.to_dict(),
+        "stage_breakdown": _stage_dict(root.stage_totals()),
+    }
+
+
+def observability_payload(root: Optional[Span] = None) -> Dict[str, Any]:
+    """The full observability export: registry metrics + optional trace."""
+    payload = {"metrics": metrics_payload()}
+    if root is not None:
+        payload["trace"] = trace_payload(root)
+    return payload

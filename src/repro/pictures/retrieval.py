@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.ranges import FULL, Range, interval
 from repro.core.simlist import SIM_EPS, SimilarityList
 from repro.core.tables import SimilarityTable, TableRow
@@ -166,7 +166,7 @@ class PictureRetrievalSystem:
         self.index.append_segments(segments)
         self._analyzer = SupportAnalyzer(self.index)
         self._universe = self.index.all_object_ids()
-        instrument.count(instrument.INDEX_APPENDED)
+        trace.METRICS.count(trace.INDEX_APPENDED)
         return len(self.segments)
 
     def atom_support(
@@ -293,17 +293,15 @@ class PictureRetrievalSystem:
                     raise
                 except Exception as exc:
                     breaker.record_failure()
-                    instrument.count(instrument.ATOM_FALLBACK)
                     trace.event(
-                        instrument.ATOM_FALLBACK,
+                        trace.ATOM_FALLBACK,
                         f"indexed sweep failed with {type(exc).__name__}; "
                         "redoing with the naive oracle scorer",
                     )
                     trace.annotate(path="naive-fallback")
             else:
-                instrument.count(instrument.ATOM_BREAKER_OPEN)
                 trace.event(
-                    instrument.ATOM_BREAKER_OPEN,
+                    trace.ATOM_BREAKER_OPEN,
                     "atom-index breaker refused the indexed path",
                 )
                 trace.annotate(path="naive-fallback")

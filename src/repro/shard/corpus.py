@@ -44,7 +44,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import (
     OUTCOME_FAILED,
@@ -205,8 +205,7 @@ class Shard:
                 with self._lock:
                     if self._database is None:
                         self._database = self._loader()
-                        instrument.count(instrument.SHARD_LOADED)
-                        trace.event(instrument.SHARD_LOADED, self.shard_id)
+                        trace.event(trace.SHARD_LOADED, self.shard_id)
                     database = self._database
             except Exception:
                 self.breaker.record_failure()
@@ -219,9 +218,8 @@ class Shard:
                 ):
                     raise
                 delay = self.retry.backoff_s(attempt, self._rng)
-                instrument.count(instrument.SHARD_LOAD_RETRIED)
                 trace.event(
-                    instrument.SHARD_LOAD_RETRIED,
+                    trace.SHARD_LOAD_RETRIED,
                     f"{self.shard_id}: attempt {attempt + 1}/"
                     f"{self.retry.attempts} after {delay * 1000.0:.1f}ms",
                 )
@@ -452,9 +450,8 @@ class ShardedCorpus:
                 try:
                     database = shard.database()
                 except Exception as error:
-                    instrument.count(instrument.SHARD_FAILED)
                     trace.event(
-                        instrument.SHARD_FAILED,
+                        trace.SHARD_FAILED,
                         f"{shard.shard_id}: {type(error).__name__}",
                     )
                     failure = ShardError(

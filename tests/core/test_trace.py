@@ -9,7 +9,7 @@ Covers the observability layer of DESIGN.md §10 in four tiers:
 * span trees — parentage (including across a thread pool via
   capture/adopt), events, counter deltas, error recording, export;
 * integration — a traced parallel top-k whose per-stage span rollup
-  reconciles with ``instrument.totals()``, and a chaos run whose
+  reconciles with ``trace.METRICS.totals()``, and a chaos run whose
   fault-injected fallbacks surface as span events with correct
   parentage.
 """
@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
@@ -33,11 +33,11 @@ from repro.testing.faults import FaultSpec, inject
 
 @pytest.fixture(autouse=True)
 def clean_registry():
-    instrument.disable()
-    instrument.reset()
+    trace.METRICS.disable()
+    trace.METRICS.reset()
     yield
-    instrument.disable()
-    instrument.reset()
+    trace.METRICS.disable()
+    trace.METRICS.reset()
 
 
 def tiny_database(n_videos=4, n_segments=10, seed=7):
@@ -66,56 +66,86 @@ QUERY = (
 # registry semantics
 # ---------------------------------------------------------------------------
 class TestStageSemantics:
+    def test_disabled_records_nothing(self):
+        with trace.METRICS.stage("anything"):
+            pass
+        assert trace.METRICS.totals() == {}
+
+    def test_disable_keeps_totals_readable(self):
+        trace.METRICS.enable()
+        for __ in range(3):
+            with trace.METRICS.stage(trace.ATOM_SCORING):
+                pass
+        totals = trace.METRICS.totals()
+        assert totals[trace.ATOM_SCORING].calls == 3
+        assert totals[trace.ATOM_SCORING].seconds >= 0.0
+        trace.METRICS.disable()
+        with trace.METRICS.stage(trace.ATOM_SCORING):
+            pass
+        assert trace.METRICS.totals()[trace.ATOM_SCORING].calls == 3
+
+    def test_enable_resets_unless_reset_false(self):
+        trace.METRICS.enable()
+        with trace.METRICS.stage("s"):
+            pass
+        trace.METRICS.enable()
+        assert trace.METRICS.totals() == {}
+        trace.METRICS.enable(reset=False)
+        with trace.METRICS.stage("s"):
+            pass
+        trace.METRICS.enable(reset=False)
+        assert trace.METRICS.totals()["s"].calls == 1
+
     def test_nested_same_name_counts_once(self):
-        instrument.enable()
-        with instrument.stage("s"):
-            with instrument.stage("s"):
-                with instrument.stage("s"):
+        trace.METRICS.enable()
+        with trace.METRICS.stage("s"):
+            with trace.METRICS.stage("s"):
+                with trace.METRICS.stage("s"):
                     pass
-        totals = instrument.totals()
+        totals = trace.METRICS.totals()
         assert totals["s"].calls == 1
 
     def test_nested_different_names_both_count(self):
-        instrument.enable()
-        with instrument.stage("outer"):
-            with instrument.stage("inner"):
+        trace.METRICS.enable()
+        with trace.METRICS.stage("outer"):
+            with trace.METRICS.stage("inner"):
                 pass
-        totals = instrument.totals()
+        totals = trace.METRICS.totals()
         assert totals["outer"].calls == 1
         assert totals["inner"].calls == 1
 
     def test_sequential_same_name_counts_each(self):
-        instrument.enable()
+        trace.METRICS.enable()
         for __ in range(3):
-            with instrument.stage("s"):
+            with trace.METRICS.stage("s"):
                 pass
-        assert instrument.totals()["s"].calls == 3
+        assert trace.METRICS.totals()["s"].calls == 3
 
     def test_disable_mid_block_drops_the_inflight_block(self):
         # A block is credited only when collection is enabled at both
         # entry and exit: its timing would otherwise be torn across the
         # toggle.
-        instrument.enable()
-        with instrument.stage("s"):
-            instrument.disable()
-        assert instrument.totals().get("s") is None
+        trace.METRICS.enable()
+        with trace.METRICS.stage("s"):
+            trace.METRICS.disable()
+        assert trace.METRICS.totals().get("s") is None
 
     def test_enable_mid_block_takes_effect_next_entry(self):
-        with instrument.stage("s"):
-            instrument.enable()
-        assert instrument.totals().get("s") is None
-        with instrument.stage("s"):
+        with trace.METRICS.stage("s"):
+            trace.METRICS.enable()
+        assert trace.METRICS.totals().get("s") is None
+        with trace.METRICS.stage("s"):
             pass
-        assert instrument.totals()["s"].calls == 1
+        assert trace.METRICS.totals()["s"].calls == 1
 
     def test_nested_depth_survives_inner_disable_enable(self):
-        instrument.enable()
-        with instrument.stage("s"):
-            with instrument.stage("s"):
+        trace.METRICS.enable()
+        with trace.METRICS.stage("s"):
+            with trace.METRICS.stage("s"):
                 pass
-        with instrument.stage("s"):
+        with trace.METRICS.stage("s"):
             pass
-        assert instrument.totals()["s"].calls == 2
+        assert trace.METRICS.totals()["s"].calls == 2
 
 
 class TestHistogram:
@@ -151,12 +181,22 @@ class TestHistogram:
         # Percentiles stay spread over the whole stream, not the tail.
         assert histogram.percentile(50) == pytest.approx(n / 2, rel=0.05)
 
+    def test_registry_histogram_surface(self):
+        trace.METRICS.enable()
+        trace.METRICS.observe("lat", 0.25)
+        snapshot = trace.METRICS.snapshot()
+        assert snapshot["histograms"]["lat"].count == 1
+        assert trace.METRICS.histograms()["lat"].p50 == pytest.approx(0.25)
+        drained = trace.METRICS.drain()
+        assert drained["histograms"]["lat"].count == 1
+        assert trace.METRICS.histograms() == {}
+
     def test_observe_requires_enabled(self):
-        instrument.observe("lat", 0.5)
-        assert instrument.histograms() == {}
-        instrument.enable()
-        instrument.observe("lat", 0.5)
-        assert instrument.histograms()["lat"].count == 1
+        trace.METRICS.observe("lat", 0.5)
+        assert trace.METRICS.histograms() == {}
+        trace.METRICS.enable()
+        trace.METRICS.observe("lat", 0.5)
+        assert trace.METRICS.histograms()["lat"].count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +216,8 @@ class TestConcurrency:
         def worker():
             start.wait()
             for __ in range(n_increments):
-                instrument.count("hits")
-                instrument.add("stage", 0.001)
+                trace.METRICS.count("hits")
+                trace.METRICS.add("stage", 0.001)
 
         threads = [
             threading.Thread(target=worker) for __ in range(n_threads)
@@ -190,7 +230,7 @@ class TestConcurrency:
         drained_calls = 0
         cycles = 0
         while any(thread.is_alive() for thread in threads) or cycles < 100:
-            snapshot = instrument.drain()
+            snapshot = trace.METRICS.drain()
             drained_counts += snapshot["counters"].get("hits", 0)
             stage = snapshot["stages"].get("stage")
             drained_calls += stage.calls if stage else 0
@@ -199,7 +239,7 @@ class TestConcurrency:
                 break
         for thread in threads:
             thread.join()
-        final = instrument.drain()
+        final = trace.METRICS.drain()
         drained_counts += final["counters"].get("hits", 0)
         stage = final["stages"].get("stage")
         drained_calls += stage.calls if stage else 0
@@ -209,6 +249,51 @@ class TestConcurrency:
         assert drained_counts == n_threads * n_increments
         assert drained_calls == n_threads * n_increments
 
+    def test_reset_race_loses_no_updates(self):
+        """Drain conservation for the timed paths: stage() blocks and
+        histogram samples racing drain() land in exactly one drained
+        snapshot, just as direct count()/add() updates do."""
+        trace.METRICS.enable()
+        n_threads, n_each = 6, 2000
+        start = threading.Barrier(n_threads + 1)
+
+        def worker():
+            start.wait()
+            for __ in range(n_each):
+                with trace.METRICS.stage("work"):
+                    pass
+                trace.METRICS.observe("lat", 0.0001)
+
+        threads = [threading.Thread(target=worker) for __ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        start.wait()
+
+        seen_calls = seen_samples = cycles = 0
+
+        def tally(drained):
+            stage = drained["stages"].get("work")
+            histogram = drained["histograms"].get("lat")
+            return (
+                stage.calls if stage else 0,
+                histogram.count if histogram else 0,
+            )
+
+        while any(thread.is_alive() for thread in threads) or cycles < 100:
+            calls, samples = tally(trace.METRICS.drain())
+            seen_calls += calls
+            seen_samples += samples
+            cycles += 1
+        for thread in threads:
+            thread.join()
+        calls, samples = tally(trace.METRICS.drain())
+        seen_calls += calls
+        seen_samples += samples
+
+        assert cycles >= 100
+        assert seen_calls == n_threads * n_each
+        assert seen_samples == n_threads * n_each
+
     def test_enable_reset_cycles_never_corrupt_the_registry(self):
         """enable(reset=True) racing stage timers must neither raise nor
         leave the registry in a torn state."""
@@ -216,8 +301,8 @@ class TestConcurrency:
 
         def worker():
             while not stop.is_set():
-                instrument.count("c")
-                with instrument.stage("s"):
+                trace.METRICS.count("c")
+                with trace.METRICS.stage("s"):
                     pass
 
         threads = [threading.Thread(target=worker) for __ in range(4)]
@@ -225,13 +310,13 @@ class TestConcurrency:
             thread.start()
         try:
             for __ in range(100):
-                instrument.enable(reset=True)
-                instrument.reset()
+                trace.METRICS.enable(reset=True)
+                trace.METRICS.reset()
         finally:
             stop.set()
             for thread in threads:
                 thread.join()
-        snapshot = instrument.snapshot()
+        snapshot = trace.METRICS.snapshot()
         assert set(snapshot) == {"stages", "counters", "histograms"}
         for total in snapshot["stages"].values():
             assert total.calls >= 0 and total.seconds >= 0.0
@@ -240,7 +325,7 @@ class TestConcurrency:
         """The TraceRecorder/registry concurrency suite: N threads each
         record spans, counters and latency samples; afterwards the
         recorder holds every root and the snapshot is coherent."""
-        instrument.enable()
+        trace.METRICS.enable()
         n_threads, n_spans = 8, 50
         recorder = trace.TraceRecorder()
         start = threading.Barrier(n_threads)
@@ -252,14 +337,14 @@ class TestConcurrency:
                     with trace.staged_span(
                         trace.TOP_K, trace.KIND_TOPK, f"w{tid}-{index}"
                     ):
-                        instrument.count("visits")
-                        instrument.observe("lat", 0.001)
+                        trace.METRICS.count("visits")
+                        trace.METRICS.observe("lat", 0.001)
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(worker, range(n_threads)))
 
         assert len(recorder.roots) == n_threads * n_spans
-        snapshot = instrument.snapshot()
+        snapshot = trace.METRICS.snapshot()
         assert snapshot["counters"]["visits"] == n_threads * n_spans
         assert snapshot["stages"][trace.TOP_K].calls == n_threads * n_spans
         assert snapshot["histograms"]["lat"].count == n_threads * n_spans
@@ -288,7 +373,8 @@ class TestSpans:
         assert kinds == [
             trace.KIND_QUERY, trace.KIND_VIDEO, trace.KIND_ATOM_SWEEP
         ]
-        assert root.total_counters() == {"rows": 3}
+        # trace.event counts as well as records: "note" is a counter too.
+        assert root.total_counters() == {"rows": 3, "note": 1}
         events = root.all_events()
         assert len(events) == 1
         owner, emitted = events[0]
@@ -314,6 +400,20 @@ class TestSpans:
         trace.annotate(a=1)
         with trace.span(trace.KIND_LIST_OP, "noop"):
             pass  # shared null context
+
+    def test_event_counts_without_recorder(self):
+        assert trace.event("e", "detail") is None
+        assert trace.event("e") is None
+        assert trace.METRICS.counters()["e"] == 2
+
+    def test_event_counts_once_and_records_one_span_event(self):
+        with trace.recording() as recorder:
+            with recorder.span(trace.KIND_QUERY, "q") as root:
+                emitted = trace.event("e", "detail")
+        assert trace.METRICS.counters()["e"] == 1
+        assert root.events == [emitted]
+        assert emitted.detail == "detail"
+        assert root.counters == {"e": 1}
 
     def test_orphan_events_are_kept(self):
         with trace.recording() as recorder:
@@ -364,13 +464,13 @@ class TestSpans:
 
 class TestStagedSpanBridge:
     def test_single_measurement_feeds_both_sinks(self):
-        instrument.enable()
+        trace.METRICS.enable()
         with trace.recording() as recorder:
             with trace.staged_span(
                 trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "merge"
             ) as opened:
                 assert opened is not None
-        totals = instrument.totals()
+        totals = trace.METRICS.totals()
         assert totals[trace.LIST_ALGEBRA].calls == 1
         # Exact reconciliation: the stage credit IS the span duration.
         assert totals[trace.LIST_ALGEBRA].seconds == pytest.approx(
@@ -384,17 +484,17 @@ class TestStagedSpanBridge:
             ):
                 pass
         assert len(recorder.roots) == 1
-        assert instrument.totals() == {}
+        assert trace.METRICS.totals() == {}
 
     def test_no_recorder_no_metrics_is_passthrough(self):
         with trace.staged_span(
             trace.ATOM_SCORING, trace.KIND_ATOM_SWEEP, "a"
         ) as opened:
             assert opened is None
-        assert instrument.totals() == {}
+        assert trace.METRICS.totals() == {}
 
     def test_nested_same_stage_spans_count_stage_once(self):
-        instrument.enable()
+        trace.METRICS.enable()
         with trace.recording() as recorder:
             with trace.staged_span(
                 trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "outer"
@@ -405,7 +505,7 @@ class TestStagedSpanBridge:
                     pass
         # Two spans in the tree, one stage credit (outermost frame only).
         assert len(list(recorder.roots[0].walk())) == 2
-        assert instrument.totals()[trace.LIST_ALGEBRA].calls == 1
+        assert trace.METRICS.totals()[trace.LIST_ALGEBRA].calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -452,39 +552,59 @@ class TestTracedRetrieval:
         }
         assert all(node.attrs.get("status") == "ok" for node in videos)
 
+    def test_untraced_topk_credits_all_three_stages(self):
+        segments = [
+            SegmentMetadata(objects=[make_object("o1", "person")]),
+            SegmentMetadata(),
+            SegmentMetadata(objects=[make_object("o1", "person")]),
+        ]
+        database = VideoDatabase()
+        database.add(flat_video("v", segments))
+        query = parse(
+            "(exists x . present(x)) and eventually (exists x . present(x))"
+        )
+        trace.METRICS.enable()
+        results = top_k_across_videos(RetrievalEngine(), query, database, k=2)
+        trace.METRICS.disable()
+        assert results
+        totals = trace.METRICS.totals()
+        assert totals[trace.ATOM_SCORING].calls >= 1
+        assert totals[trace.LIST_ALGEBRA].calls >= 1
+        assert totals[trace.TOP_K].calls >= 1
+
     def test_span_rollup_reconciles_with_instrument_totals(self):
         """The acceptance criterion: per-stage totals from the span tree
-        reconcile (within 5%; exactly, by construction) with the legacy
-        instrument.totals() for the same run, under parallelism=4."""
+        reconcile (within 5%; exactly, by construction) with the registry's
+        trace.METRICS.totals() for the same run, under parallelism=4."""
         database = tiny_database(n_videos=6)
         formula = parse(QUERY)
-        instrument.enable()
+        trace.METRICS.enable()
         result = top_k_across_videos(
             RetrievalEngine(), formula, database, k=5,
             parallelism=4, profile=True,
         )
-        instrument.disable()
-        legacy = instrument.totals()
+        trace.METRICS.disable()
+        registry = trace.METRICS.totals()
         rollup = result.profile.stage_totals()
         for stage in (trace.ATOM_SCORING, trace.LIST_ALGEBRA, trace.TOP_K):
             assert stage in rollup, f"missing {stage} in span rollup"
-            assert stage in legacy, f"missing {stage} in legacy totals"
-            assert rollup[stage].calls == legacy[stage].calls
+            assert stage in registry, f"missing {stage} in registry totals"
+            assert rollup[stage].calls == registry[stage].calls
             assert rollup[stage].seconds == pytest.approx(
-                legacy[stage].seconds, rel=0.05
+                registry[stage].seconds, rel=0.05
             )
 
     def test_query_and_video_latency_histograms_populate(self):
         database = tiny_database()
         formula = parse(QUERY)
-        instrument.enable()
+        trace.METRICS.enable()
         top_k_across_videos(
             RetrievalEngine(), formula, database, k=3, profile=True
         )
-        instrument.disable()
-        summaries = instrument.histograms()
-        assert summaries[instrument.QUERY_LATENCY].count == 1
-        assert summaries[instrument.VIDEO_LATENCY].count == len(
+        trace.METRICS.disable()
+        summaries = trace.METRICS.histograms()
+        assert summaries[trace.QUERY_LATENCY].count == 1
+        assert summaries[trace.VIDEO_LATENCY].count == len(
             list(database.videos())
         )
 
@@ -507,7 +627,7 @@ class TestTracedRetrieval:
         fallbacks = [
             (owner, emitted)
             for owner, emitted in root.all_events()
-            if emitted.name == instrument.ATOM_FALLBACK
+            if emitted.name == trace.ATOM_FALLBACK
         ]
         assert fallbacks, "no atom-fallback events recorded"
         parents = {}
@@ -526,6 +646,6 @@ class TestTracedRetrieval:
             assert trace.KIND_VIDEO in kinds
             assert trace.KIND_QUERY in kinds
         # The fallback also bumped the global counter, as before.
-        assert instrument.counters().get(instrument.ATOM_FALLBACK, 0) >= len(
+        assert trace.METRICS.counters().get(trace.ATOM_FALLBACK, 0) >= len(
             fallbacks
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.harness import (
+    best_of,
     compare_systems,
     run_direct,
     run_sql,
@@ -25,6 +26,18 @@ class TestHarness:
         measurement = time_call(lambda: sim, repeat=2)
         assert measurement.result is sim
         assert measurement.seconds >= 0.0
+
+    def test_best_of_runs_repeat_times_and_returns_last_result(self):
+        calls = []
+        seconds, result = best_of(lambda: calls.append(1) or len(calls), 3)
+        assert calls == [1, 1, 1]
+        assert result == 3
+        assert seconds >= 0.0
+
+    def test_best_of_runs_at_least_once(self):
+        seconds, result = best_of(lambda: "x", 0)
+        assert result == "x"
+        assert seconds >= 0.0
 
     def test_run_direct(self):
         lists = {

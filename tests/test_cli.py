@@ -3,7 +3,8 @@
 import pytest
 
 from repro import errors
-from repro.cli import EXIT_CODES, exit_code_for, main
+from repro.cli import EXIT_CODES, exit_code_for, main, stage_report_text
+from repro.core import trace
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +263,66 @@ class TestTrace:
         code, __, err = run_cli(capsys, "trace", "and and")
         assert code == EXIT_CODES[errors.HTLSyntaxError]
         assert "error:" in err
+
+    def test_trace_latency_table_has_rows(self, capsys):
+        code, out, __ = run_cli(
+            capsys, "trace", "--dataset", "western", "exists x . present(x)"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("Latency percentiles (ms)")
+        assert lines[start + 1].split()[0] == "Histogram"
+        rows = []
+        for line in lines[start + 3:]:
+            if not line.strip():
+                break
+            rows.append(line.split()[0])
+        assert "query-seconds" in rows
+        assert "video-seconds" in rows
+
+    def test_stage_report_text(self):
+        trace.METRICS.reset()
+        trace.METRICS.enable()
+        try:
+            with trace.METRICS.stage(trace.ATOM_SCORING):
+                pass
+            text = stage_report_text()
+            assert trace.ATOM_SCORING in text
+            assert "Seconds" in text
+            trace.METRICS.reset()
+            assert "(no stages recorded)" in stage_report_text()
+        finally:
+            trace.METRICS.disable()
+            trace.METRICS.reset()
+
+
+def test_import_does_not_load_sql_baseline():
+    """``import repro.cli`` must not pay for the SQL baseline; only the
+    ``sql`` subcommand imports it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('repro.sqlbaseline')))"
+    )
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert completed.stdout.strip() == "[]"
 
 
 class TestDatasets:
