@@ -4,11 +4,11 @@ Not a paper table — this measures the statistics-driven planner
 (:mod:`repro.core.planner`, ISSUE 7, DESIGN.md §13) on a
 skewed-selectivity corpus: a rare object type appears in 2 of 16 videos
 while a common type appears everywhere.  The benchmark query conjoins
-an everywhere-true atom with a rare-type atom whose *structural* costs
-tie exactly — only posting-list statistics can tell them apart — so the
-static optimizer keeps the written order while the planner evaluates
-the selective side first and short-circuits the expensive side wherever
-the rare type is absent.
+an everywhere-true atom with a rare-type atom of the same shape — only
+posting-list statistics can tell them apart — so structural order (an
+engine with no planner) evaluates them as written while the planner
+evaluates the selective side first and short-circuits the expensive
+side wherever the rare type is absent.
 
 Three claims are gated:
 
@@ -32,7 +32,7 @@ import pytest
 
 from repro.bench.harness import best_of
 from repro.bench.reporting import write_report_json
-from repro.core.engine import EngineConfig, RetrievalEngine
+from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
 from repro.model.database import VideoDatabase
@@ -47,8 +47,8 @@ RARE_VIDEOS = 2  #: videos that contain the rare type at all
 RARE_PER_VIDEO = 8  #: rare-type segments within those videos
 K = 10
 
-#: Both conjuncts are (1 free var, 1 temporal op, size 2) — a structural
-#: tie that only index statistics can break.
+#: Both conjuncts are one free variable under one temporal operator — a
+#: shape tie that only index statistics can break.
 FORMULA = parse(
     "exists x . ((eventually present(x)) and (eventually type(x) = 'person'))"
 )
@@ -105,7 +105,8 @@ def test_planner_work_cache_and_identity(report):
     structural_db = skewed_corpus()
 
     planned_engine = RetrievalEngine()
-    structural_engine = RetrievalEngine(EngineConfig(plan=False))
+    structural_engine = RetrievalEngine()
+    structural_engine.planner = None  # structural evaluation order
 
     planned_seconds, planned = best_of(
         lambda: _sweep(planned_engine, planned_db), repeat=1

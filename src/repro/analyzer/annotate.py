@@ -12,7 +12,7 @@ systems consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analyzer.cutdetect import CutDetectorConfig, Shot, detect_cuts
 from repro.analyzer.features import FrameStream

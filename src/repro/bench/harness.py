@@ -10,8 +10,8 @@ executing the sequence of SQL queries").
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.simlist import SimilarityList

@@ -59,24 +59,18 @@ class EngineConfig:
 
     ``until_threshold`` is the minimum fractional similarity the left
     operand of ``until`` must keep (paper §2.5).  ``join_mode`` selects the
-    paper's inner join or the definitional outer join.  ``prune_atoms``
-    forwards to the picture system's relevant-evaluation pruning.
-    ``naive_atoms`` forces the picture system's naive full-scan path for
-    every atom table (the index-driven path is the default; the flag is
-    the escape hatch and the oracle's configuration, see DESIGN.md §7).
-    ``plan`` enables the cost-based query planner (DESIGN.md §13):
-    statistics-driven join evaluation order with inner-join operand
-    short-circuits, per-atom indexed-vs-naive strategy choice, and plan
-    caching with adaptive re-planning.  Plans never change results —
-    ``plan=False`` restores the structural evaluation order exactly.
+    paper's inner join or the definitional outer join.  ``naive_atoms``
+    forces the picture system's naive full-scan path for every atom table
+    and skips planning — the oracle's configuration and the resilience
+    layer's fallback engine (DESIGN.md §7, §8).  Otherwise the cost-based
+    planner (DESIGN.md §13) picks the join evaluation order and each
+    atom's indexed-vs-naive path; plans never change results.
     """
 
     until_threshold: float = ops.DEFAULT_UNTIL_THRESHOLD
     join_mode: str = INNER
-    prune_atoms: bool = False
     allow_extensions: bool = False
     naive_atoms: bool = False
-    plan: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.until_threshold <= 1.0:
@@ -139,9 +133,9 @@ class RetrievalEngine:
     ):
         self.config = config or EngineConfig()
         self.cache = cache
-        if planner is None and self.config.plan:
-            planner = planning.Planner()
-        self.planner = planner
+        #: Set to None for structural evaluation order (the planner-free
+        #: baseline the planner's tests and benchmark compare against).
+        self.planner = planner if planner is not None else planning.Planner()
 
     # ------------------------------------------------------------------
     # public API
@@ -213,7 +207,6 @@ class RetrievalEngine:
         database: Optional[VideoDatabase],
         atomic_lists: Optional[Dict[str, SimilarityList]],
     ) -> SimilarityList:
-        self._validate(formula)
         cache = self.cache
         use_cache = (
             cache is not None and database is not None and atomic_lists is None
@@ -232,9 +225,12 @@ class RetrievalEngine:
             )
             hit = cache.get_list(key)
             if hit is not None:
+                # Validation depends only on the formula and the config,
+                # both in the key: a hit was validated when it was stored.
                 trace.bump("cache-list-hit")
                 return hit
             trace.bump("cache-list-miss")
+        self._validate(formula)
         context = self._context(formula, video, level, database, atomic_lists)
         context.plan = self._plan_for(formula, context, database)
         if context.plan is None:
@@ -257,7 +253,7 @@ class RetrievalEngine:
     ) -> Optional[planning.QueryPlan]:
         """The query plan for this evaluation, or None for structural order.
 
-        Planning is skipped when disabled (``plan=False``), when the
+        Planning is skipped when the engine has no planner, when the
         naive-oracle configuration is forced (``naive_atoms``), and for
         formulas with no picture atoms (pure registered-list queries have
         no index statistics to plan from).  A failing plan build is a
@@ -268,7 +264,6 @@ class RetrievalEngine:
         planner = self.planner
         if (
             planner is None
-            or not self.config.plan
             or self.config.naive_atoms
             or not planning.has_picture_atoms(formula)
         ):
@@ -719,11 +714,8 @@ class RetrievalEngine:
             if choice is not None:
                 use_index = choice
         return pictures.similarity_table(
-                formula,
-                universe=context.universe or None,
-                prune=self.config.prune_atoms,
-                use_index=use_index,
-            )
+            formula, universe=context.universe or None, use_index=use_index
+        )
 
     # -- level modal operators ------------------------------------------------
     def _level_table(

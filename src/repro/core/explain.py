@@ -17,7 +17,6 @@ from typing import List
 
 from repro.htl import ast
 from repro.htl.classify import (
-    FormulaClass,
     is_non_temporal,
     skeleton_class,
 )

@@ -1,31 +1,27 @@
-"""Formula rewriting for faster retrieval (query optimisation).
+"""Static formula rewriting (query optimisation).
 
 The paper's complexity analysis makes the cost of the direct method a
 function of the formula's length and the lengths of the intermediate
 similarity lists; rewriting the formula before evaluation shrinks both.
-All rules preserve the similarity semantics exactly — each is backed by an
-algebraic law property-tested in ``tests/core/test_ops_laws.py`` or by the
-engine-vs-oracle equivalence suite:
+Every rule preserves the similarity lists of both join modes exactly —
+each is backed by an algebraic law property-tested in
+``tests/core/test_ops_laws.py`` or by the semantic-preservation suite in
+``tests/core/test_optimizer.py``:
 
 * ``eventually (eventually f)  →  eventually f``        (idempotence)
-* ``next f ∧ next g            →  next (f ∧ g)``         (distribution)
+* ``always (always f)          →  always f``            (idempotence)
 * ``eventually (next f)        →  next (eventually f)``  (commutation; the
   right side shifts one shorter intermediate list)
-* ``true ∧ f`` stays put — ∧ with ``true`` *changes* the similarity value
-  (it adds 1 to both components), so it is **not** eliminated; a reminder
-  that boolean simplifications are generally unsound under graded
-  semantics.
 * adjacent ``∃`` prefixes merge: ``∃x.∃y.f → ∃x,y.f``.
-* conjunction reassociation orders conjuncts by the structural cost
-  heuristic (number of free object variables, then temporal-operator
-  count, then size), so joins start from the most selective tables — the
-  classic join-ordering heuristic.
 
-These are *static* rewrites: no video in sight, so only the formula's
-structure can inform the ordering.  The statistics-driven ordering lives
-in :mod:`repro.core.planner` (DESIGN.md §13), which the engine applies
-per evaluation; this module's ordering is that planner's statistics-free
-fallback (:func:`repro.core.planner.structural_cost`).
+Rules that regroup conjuncts are deliberately absent.  Under the paper's
+inner join (§3.2) grouping changes the answer: two adjacent non-temporal
+conjuncts form one picture atom, so reassociating ``f ∧ ◇g ∧ h`` or
+distributing ``○f ∧ ○g → ○(f ∧ g)`` builds a different table.  Likewise
+``true ∧ f`` stays put — ∧ with ``true`` *changes* the similarity value
+(it adds 1 to both components).  Evaluation order is chosen per video by
+the cost-based planner (:mod:`repro.core.planner`), which never rewrites
+the formula.
 
 Use :func:`optimize` before :meth:`RetrievalEngine.evaluate_video` when
 queries are machine-generated or deeply nested; hand-written queries are
@@ -34,11 +30,7 @@ usually already in good shape.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.core.planner import order_conjuncts
 from repro.htl import ast
-from repro.htl.classify import is_non_temporal
 
 
 def optimize(formula: ast.Formula) -> ast.Formula:
@@ -74,25 +66,11 @@ def _rewrite(formula: ast.Formula) -> ast.Formula:
     ):
         return ast.Next(ast.Eventually(formula.sub.sub))
 
-    # next f ∧ next g -> next (f ∧ g)
-    if (
-        isinstance(formula, ast.And)
-        and isinstance(formula.left, ast.Next)
-        and isinstance(formula.right, ast.Next)
-    ):
-        return ast.Next(ast.And(formula.left.sub, formula.right.sub))
-
     # ∃x . ∃y . f -> ∃x,y . f (when names do not collide)
     if isinstance(formula, ast.Exists) and isinstance(formula.sub, ast.Exists):
         inner = formula.sub
         if not set(formula.vars) & set(inner.vars):
             return ast.Exists(formula.vars + inner.vars, inner.sub)
-
-    # Reassociate conjunction chains cheapest-first.
-    if isinstance(formula, ast.And):
-        reordered = _reorder_conjunction(formula)
-        if reordered is not None:
-            return reordered
 
     return formula
 
@@ -125,37 +103,3 @@ def _rewrite_children(formula: ast.Formula) -> ast.Formula:
     if isinstance(formula, ast.AtNamedLevel):
         return ast.AtNamedLevel(formula.level_name, _rewrite(formula.sub))
     return formula
-
-
-def _conjunction_chain(formula: ast.Formula) -> List[ast.Formula]:
-    """Flatten a left-leaning ∧ chain into its conjuncts.
-
-    Only the temporal skeleton is flattened; non-temporal subformulas are
-    atoms and stay intact (their internal ∧ is the picture system's job).
-    """
-    if isinstance(formula, ast.And) and not is_non_temporal(formula):
-        return _conjunction_chain(formula.left) + _conjunction_chain(
-            formula.right
-        )
-    return [formula]
-
-
-def _reorder_conjunction(formula: ast.And):
-    """Rebuild an ∧ chain cheapest-first (stable; None when unchanged).
-
-    Conjunction of similarity values is commutative and associative
-    (sums), so any ordering is sound.  The ranking is the planner's
-    structural (statistics-free) cost — at rewrite time there is no
-    index to consult; the engine's runtime plan refines the evaluation
-    order further with real posting-list statistics.
-    """
-    conjuncts = _conjunction_chain(formula)
-    if len(conjuncts) < 3:
-        return None
-    new_order = order_conjuncts(conjuncts)
-    if new_order == conjuncts:
-        return None
-    rebuilt = new_order[0]
-    for conjunct in new_order[1:]:
-        rebuilt = ast.And(rebuilt, conjunct)
-    return rebuilt

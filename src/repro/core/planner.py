@@ -1,8 +1,9 @@
 """Cost-based query planning over metadata-index statistics.
 
-The engine's structural recursion evaluates conjunctions and joins in the
-order the query was written, and picks the indexed vs. naive atom path by
-a blanket config switch.  Both choices leave cheap wins on the table once
+Without a plan, the engine's structural recursion evaluates conjunctions
+and joins in the order the query was written, and takes every atom down
+the indexed path (or, under ``naive_atoms``, the naive one).  Both
+choices leave cheap wins on the table once
 the :class:`~repro.pictures.index.MetadataIndex` exists: posting-list
 lengths, content-profile dedup ratios and ∃-pool sizes predict which
 subformula is cheap and which is selective *before* anything is scored —
@@ -41,15 +42,15 @@ The planner compiles an (engine-)formula into a :class:`QueryPlan`:
   the rebuilt plan's estimates track the machine it is running on.
 
 The module is engine-agnostic: it imports the picture layer and the cache
-but never :mod:`repro.core.engine` (the engine imports *it*), and
-:mod:`repro.core.optimizer` reuses :func:`structural_cost` /
-:func:`order_conjuncts` as its statistics-free fallback ordering.
+but never :mod:`repro.core.engine` (the engine imports *it*).  It is the
+only place that picks an evaluation order; the static rewrites of
+:mod:`repro.core.optimizer` never reorder conjuncts.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -75,7 +76,6 @@ from repro.model.metadata import SegmentMetadata
 from repro.pictures.scoring import (
     FRESH_OBJECT_ID,
     exists_pool,
-    max_similarity,
     score,
 )
 
@@ -97,46 +97,6 @@ STRATEGY_NAIVE = "naive"
 
 #: The representative empty segment baselines are probed on.
 _EMPTY_SEGMENT = SegmentMetadata()
-
-
-# ---------------------------------------------------------------------------
-# statistics-free fallback (the old optimizer heuristic)
-# ---------------------------------------------------------------------------
-def structural_cost(conjunct: ast.Formula) -> Tuple[int, int, int]:
-    """Purely structural evaluation-cost heuristic for join ordering.
-
-    Lower sorts first: fewer free object variables (smaller tables to
-    join), fewer temporal operators (cheaper lists), smaller overall
-    size.  This is the planner's fallback when no index statistics exist
-    — e.g. :func:`repro.core.optimizer.optimize` rewriting a formula with
-    no video in sight.
-    """
-    n_vars = len(free_object_vars(conjunct))
-    n_temporal = sum(
-        1
-        for node in conjunct.walk()
-        if isinstance(node, ast.TEMPORAL_OPERATORS)
-    )
-    size = sum(1 for __ in conjunct.walk())
-    return (n_vars, n_temporal, size)
-
-
-def order_conjuncts(
-    conjuncts: Sequence[ast.Formula],
-    key: Optional[Any] = None,
-) -> List[ast.Formula]:
-    """Stable cheapest-first ordering of a conjunct list.
-
-    ``key`` maps a conjunct to a sortable rank (default
-    :func:`structural_cost`); original position breaks ties, so the sort
-    is stable and deterministic.
-    """
-    ranker = structural_cost if key is None else key
-    ordered = sorted(
-        enumerate(conjuncts),
-        key=lambda pair: (ranker(pair[1]), pair[0]),
-    )
-    return [conjunct for __, conjunct in ordered]
 
 
 def has_picture_atoms(formula: ast.Formula) -> bool:

@@ -25,7 +25,7 @@ integers inside it, ...) raise :class:`HTLTypeError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Union
 
 from repro.errors import HTLTypeError

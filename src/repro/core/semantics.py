@@ -22,8 +22,8 @@ engine, see DESIGN.md):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.ops import DEFAULT_UNTIL_THRESHOLD
 from repro.core.simlist import SIM_EPS, SimilarityList, SimilarityValue

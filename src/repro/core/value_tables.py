@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.core.intervals import Interval, coalesce
-from repro.core.simlist import SimEntry, SimilarityList
+from repro.core.simlist import SimilarityList
 from repro.core.tables import SimilarityTable, TableRow
 from repro.errors import HTLTypeError
 from repro.htl import ast

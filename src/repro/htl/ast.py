@@ -29,7 +29,7 @@ round-trip property tests on the parser.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Tuple, Union
 

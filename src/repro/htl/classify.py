@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import HTLTypeError
 from repro.htl.ast import (
@@ -32,8 +32,6 @@ from repro.htl.ast import (
     AtLevel,
     AtNamedLevel,
     AtNextLevel,
-    AtomicRef,
-    Compare,
     Eventually,
     Exists,
     Formula,
@@ -42,10 +40,7 @@ from repro.htl.ast import (
     Next,
     Not,
     Or,
-    Present,
-    Rel,
     TEMPORAL_OPERATORS,
-    Truth,
     Until,
     Weighted,
 )

@@ -24,7 +24,7 @@ serving tier should re-warm against.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.core.simlist import SimilarityList
 from repro.errors import IngestError

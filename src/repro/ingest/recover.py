@@ -30,7 +30,7 @@ and surfaces as a typed error naming the quarantined bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import IngestError, WALCorruptionError
 from repro.ingest import ops

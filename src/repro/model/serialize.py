@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 from repro.core.simlist import SimilarityList, SimilarityValue
 from repro.errors import ModelError, ReproError

@@ -25,9 +25,10 @@ Two evaluation paths produce every table (DESIGN.md §7):
   meta-data fingerprint — and emits the baseline over the complement as
   interval runs directly in compressed form.
 
-The two are list-for-list identical (property-tested); ``use_index``
-selects per system or per call, and ``EngineConfig(naive_atoms=True)``
-forces the naive path engine-wide.
+The two are list-for-list identical (property-tested); the per-call
+``use_index`` selects one.  The engine passes the planner's per-atom
+choice, and ``EngineConfig(naive_atoms=True)`` forces the naive path
+engine-wide.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ class PictureRetrievalSystem:
     def __init__(
         self,
         segments: Sequence[SegmentMetadata],
-        use_index: bool = True,
         index: Optional[MetadataIndex] = None,
     ):
         self.segments = list(segments)
@@ -137,7 +137,6 @@ class PictureRetrievalSystem:
         # derived from exactly these segments — the store guarantees that
         # by verifying both artifacts against one snapshot manifest.
         self.index = index if index is not None else MetadataIndex(self.segments)
-        self.use_index = use_index
         self.stats = PictureStats()
         #: When set to a list, the indexed sweep appends every visited
         #: (objects, segment_id) pair — the support-soundness tests check
@@ -194,19 +193,15 @@ class PictureRetrievalSystem:
         self,
         atom: ast.Formula,
         universe: Optional[Sequence[str]] = None,
-        prune: bool = False,
-        use_index: Optional[bool] = None,
+        use_index: bool = True,
     ) -> SimilarityTable:
         """The similarity table of a non-temporal formula.
 
         ``universe`` is the pool object variables (free and inner-∃ alike)
-        range over; it defaults to the sequence's objects.  With
-        ``prune=True``, bindings whose variables never co-occur with the
-        atom's object conditions are skipped — the "relevant evaluations"
-        reading of the paper; the default enumerates every binding, which
-        is what the definitional semantics prescribe under partial
-        matching.  ``use_index`` overrides the system-wide path selection
-        for this call (``None`` keeps the system default).
+        range over; it defaults to the sequence's objects.  Every binding
+        is enumerated, as the definitional semantics prescribe under
+        partial matching.  ``use_index`` picks the index-driven path
+        (default) or the naive scan.
 
         Every table build is one ``atom-scoring`` stage block, and — when
         a trace recorder is active — one ``atom-sweep`` span annotated
@@ -219,13 +214,13 @@ class PictureRetrievalSystem:
             _clip_atom(atom),
         ) as span:
             if span is None:
-                return self._similarity_table(atom, universe, prune, use_index)
+                return self._similarity_table(atom, universe, use_index)
             before = (
                 self.stats.bindings,
                 self.stats.segments_scored,
                 self.stats.fingerprint_hits,
             )
-            table = self._similarity_table(atom, universe, prune, use_index)
+            table = self._similarity_table(atom, universe, use_index)
             span.attrs["rows"] = len(table.rows)
             span.attrs["bindings"] = self.stats.bindings - before[0]
             span.attrs["segments-scored"] = (
@@ -240,30 +235,20 @@ class PictureRetrievalSystem:
         self,
         atom: ast.Formula,
         universe: Optional[Sequence[str]],
-        prune: bool,
-        use_index: Optional[bool],
+        use_index: bool,
     ) -> SimilarityTable:
         if not is_non_temporal(atom):
             raise UnsupportedFormulaError(
                 "the picture system evaluates non-temporal formulas only"
             )
         _check_attr_var_usage(atom)
-        indexed = self.use_index if use_index is None else use_index
         pool = list(universe) if universe is not None else list(self._universe)
         object_vars = sorted(free_object_vars(atom))
         attr_vars = sorted(free_attr_vars(atom))
         maximum = max_similarity(atom)
+        bindings = itertools.product(pool, repeat=len(object_vars))
 
-        candidate_pool = (
-            self._pruned_candidates(atom, object_vars, pool)
-            if prune
-            else {name: pool for name in object_vars}
-        )
-        bindings = itertools.product(
-            *(candidate_pool[name] for name in object_vars)
-        )
-
-        if indexed:
+        if use_index:
             # Degraded fallback (DESIGN.md §8): under an active resilience
             # context with atom_fallback, a failing index-driven build is
             # redone with the naive oracle scorer for this call, and the
@@ -306,9 +291,7 @@ class PictureRetrievalSystem:
                 )
                 trace.annotate(path="naive-fallback")
             # The bindings iterator may be partially consumed; rebuild it.
-            bindings = itertools.product(
-                *(candidate_pool[name] for name in object_vars)
-            )
+            bindings = itertools.product(pool, repeat=len(object_vars))
         else:
             trace.annotate(path="naive")
 
@@ -334,7 +317,7 @@ class PictureRetrievalSystem:
         self,
         atom: ast.Formula,
         universe: Optional[Sequence[str]] = None,
-        use_index: Optional[bool] = None,
+        use_index: bool = True,
     ) -> SimilarityList:
         """Similarity list of a closed atom (no free variables)."""
         table = self.similarity_table(
@@ -648,35 +631,6 @@ class PictureRetrievalSystem:
                 else:
                     exact_bounds.add(value)
         return int_bounds, exact_bounds
-
-    def _pruned_candidates(
-        self,
-        atom: ast.Formula,
-        object_vars: List[str],
-        pool: Sequence[str],
-    ) -> Dict[str, List[str]]:
-        """Heuristic candidate narrowing from top-level type constraints."""
-        candidates = {name: list(pool) for name in object_vars}
-        for node in atom.walk():
-            if (
-                isinstance(node, ast.Compare)
-                and node.op == "="
-                and isinstance(node.left, ast.AttrFunc)
-                and node.left.name == "type"
-                and len(node.left.args) == 1
-                and isinstance(node.left.args[0], ast.ObjectVar)
-                and isinstance(node.right, ast.Const)
-                and isinstance(node.right.value, str)
-            ):
-                name = node.left.args[0].name
-                if name in candidates:
-                    typed = set(self.index.object_ids_of_type(node.right.value))
-                    candidates[name] = [
-                        object_id
-                        for object_id in candidates[name]
-                        if object_id in typed
-                    ]
-        return candidates
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ well-formed answer instead of an opaque exception.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core import resilience
 from repro.core.engine import EngineConfig, RetrievalEngine

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.errors import ServeRejected
 from repro.serve.request import Ticket

@@ -15,7 +15,7 @@ suite's conservation check sums the terminal ledger against admissions.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.core.topk import TopKResult

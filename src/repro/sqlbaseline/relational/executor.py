@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SQLCatalogError, SQLExecutionError, SQLSyntaxError
 from repro.sqlbaseline.relational import sql_ast as ast

@@ -14,7 +14,7 @@ cover translation + SQL execution, not data entry.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.core.ops import DEFAULT_UNTIL_THRESHOLD
 from repro.core.simlist import SimilarityList

@@ -23,11 +23,10 @@ prefix-``∃`` projects the variables away with a per-segment ``MAX``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.core.ops import DEFAULT_UNTIL_THRESHOLD
 from repro.core.simlist import SIM_EPS
-from repro.core.tables import SimilarityTable
 from repro.errors import UnsupportedFormulaError
 from repro.htl import ast
 from repro.htl.classify import FormulaClass, is_non_temporal, skeleton_class

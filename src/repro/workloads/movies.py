@@ -15,7 +15,6 @@ from repro.errors import WorkloadError
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import Video, VideoNode, standard_level_names
 from repro.model.metadata import (
-    Fact,
     ObjectInstance,
     Relationship,
     SegmentMetadata,

@@ -2,12 +2,14 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import EvaluationCache
 from repro.core.engine import RetrievalEngine
 from repro.core.simlist import SimilarityList
+from repro.errors import HTLTypeError, UnsupportedFormulaError
 from repro.htl import ast, parse
 from repro.htl.ast import structural_key
 from repro.core.tables import SimilarityTable
@@ -72,6 +74,36 @@ class TestCacheCounters:
         second = engine.evaluate_video(formula, video, database=database)
         assert second == first
         assert cache.stats().list_hits == 1
+
+    def test_warm_hit_skips_validation(self, monkeypatch):
+        database = atomic_database()
+        engine = RetrievalEngine(cache=EvaluationCache())
+        validate = engine._validate
+        calls = []
+
+        def counting_validate(formula):
+            calls.append(formula)
+            validate(formula)
+
+        monkeypatch.setattr(engine, "_validate", counting_validate)
+        formula = parse("$P1 and eventually $P2")
+        video = database.get("v0")
+        first = engine.evaluate_video(formula, video, database=database)
+        assert len(calls) == 1
+        assert engine.evaluate_video(formula, video, database=database) == first
+        assert len(calls) == 1  # the list-cache hit was validated on store
+
+    def test_invalid_formula_raises_with_cache(self):
+        database = atomic_database()
+        engine = RetrievalEngine(cache=EvaluationCache())
+        video = database.get("v0")
+        for text, error in (
+            ("eventually present(x)", HTLTypeError),
+            ("$P1 or $P2", UnsupportedFormulaError),
+        ):
+            for __ in range(2):  # a failed evaluation is never cached
+                with pytest.raises(error):
+                    engine.evaluate_video(parse(text), video, database=database)
 
     def test_shared_subformula_hits_table_cache(self):
         database = atomic_database()

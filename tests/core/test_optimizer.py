@@ -1,12 +1,12 @@
 """Tests for the formula optimizer: golden rewrites + semantic preservation."""
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.optimizer import optimize
-from repro.core.planner import structural_cost
-from repro.htl import ast, parse, pretty
+from repro.htl import ast, parse
+from repro.model.hierarchy import flat_video
+from repro.model.metadata import SegmentMetadata, make_object
 
 from tests.integration.strategies import (
     conjunctive_formulas,
@@ -29,9 +29,11 @@ class TestGoldenRewrites:
         formula = parse("eventually next atomic('P')")
         assert optimize(formula) == parse("next eventually atomic('P')")
 
-    def test_next_distributes_over_and(self):
+    def test_next_conjuncts_not_fused(self):
+        """○f ∧ ○g → ○(f ∧ g) would fuse f and g into one picture atom,
+        which changes the inner-join result."""
         formula = parse("next atomic('P') and next atomic('Q')")
-        assert optimize(formula) == parse("next (atomic('P') and atomic('Q'))")
+        assert optimize(formula) == formula
 
     def test_exists_prefixes_merge(self):
         formula = parse("exists x . exists y . eventually near(x, y)")
@@ -61,18 +63,6 @@ class TestGoldenRewrites:
         optimized = optimize(formula)
         assert optimized == parse("next eventually atomic('P')")
 
-    def test_conjunction_reordered_cheapest_first(self):
-        formula = parse(
-            "(exists x, y . eventually near(x, y)) "
-            "and kind() = 'a' and (exists z . present(z))"
-        )
-        optimized = optimize(formula)
-        rendered = pretty(optimized)
-        # The variable-free atom leads, the two-variable temporal conjunct
-        # trails.
-        assert rendered.index("kind()") < rendered.index("present(z)")
-        assert rendered.index("present(z)") < rendered.index("near(x, y)")
-
     def test_atoms_stay_intact(self):
         formula = parse(
             "eventually (present(x) and present(y) and near(x, y))"
@@ -83,13 +73,27 @@ class TestGoldenRewrites:
         assert optimized == closed
 
 
-class TestCostHeuristic:
-    def test_orders_by_variables_then_size(self):
-        cheap = parse("kind() = 'a'")
-        medium = parse("exists x . present(x)")  # closed: 0 free vars
-        pricey = parse("eventually near(x, y)")  # 2 free vars
-        assert structural_cost(cheap) < structural_cost(pricey)
-        assert structural_cost(medium) < structural_cost(pricey)
+def _video(*segments):
+    """A flat video; each segment lists its (object id, type) pairs."""
+    return flat_video(
+        "v",
+        [
+            SegmentMetadata(
+                objects=[make_object(oid, kind) for oid, kind in objects]
+            )
+            for objects in segments
+        ],
+    )
+
+
+# Regrouping conjuncts changes inner-join results on this video: the
+# reorder made ∃x.(present(x) ∧ ◇present(x)) ∧ type(x)='car' score
+# {1:3, 2:2, 3:3, 4:1, 5:2} instead of {1:3, 2:1, 3:3}, and
+# ○present(x) ∧ ○type(x)='car' → ○(present(x) ∧ type(x)='car') scored
+# {1:1, 2:2, 4:1} instead of {2:2}.
+REGROUPING_VIDEO = _video(
+    [("o1", "car")], [("o2", "person")], [("o1", "car")], [], [("o2", "person")]
+)
 
 
 class TestSemanticPreservation:
@@ -110,6 +114,17 @@ class TestSemanticPreservation:
         max_examples=40,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @example(
+        parse(
+            "exists x . present(x) and eventually present(x) "
+            "and type(x) = 'car'"
+        ),
+        REGROUPING_VIDEO,
+    )
+    @example(
+        parse("exists x . next present(x) and next type(x) = 'car'"),
+        REGROUPING_VIDEO,
     )
     def test_type2_results_unchanged_both_modes(self, formula, video):
         for mode in ("inner", "outer"):

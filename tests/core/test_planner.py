@@ -10,8 +10,6 @@ from repro.core.planner import (
     Planner,
     Statistics,
     has_picture_atoms,
-    order_conjuncts,
-    structural_cost,
 )
 from repro.core.tables import OUTER
 from repro.htl import ast, parse
@@ -37,34 +35,11 @@ def skewed_video(name="vid", n=20, rare=2):
     return flat_video(name, skewed_segments(n, rare))
 
 
-# ---------------------------------------------------------------------------
-# structural fallback (the old optimizer heuristic)
-# ---------------------------------------------------------------------------
-class TestStructuralCost:
-    def test_tuple_shape_matches_old_heuristic(self):
-        formula = parse("exists x . eventually present(x)")
-        n_vars, n_temporal, size = structural_cost(formula)
-        assert n_vars == 0  # closed formula: x is bound
-        assert n_temporal == 1
-        assert size == 3
-
-    def test_free_vars_dominate(self):
-        open_atom = parse("exists x . present(x)").sub
-        closed = parse("eventually eventually eventually $A")
-        # Free object variables are the dominant cost driver: one free var
-        # outranks any number of temporal operators.
-        assert structural_cost(closed) < structural_cost(open_atom)
-
-    def test_order_conjuncts_is_stable(self):
-        a = parse("$A")
-        b = parse("$B")
-        c = parse("eventually $C")
-        assert order_conjuncts([a, b, c]) == [a, b, c]
-        assert order_conjuncts([c, a, b]) == [a, b, c]
-
-    def test_order_conjuncts_custom_key(self):
-        a, b = parse("$A"), parse("eventually $B")
-        assert order_conjuncts([a, b], key=lambda f: 0) == [a, b]
+def structural_engine():
+    """An engine without a planner: structural evaluation order."""
+    engine = RetrievalEngine()
+    engine.planner = None
+    return engine
 
 
 class TestHasPictureAtoms:
@@ -224,7 +199,7 @@ class TestPlanCache:
         plan = planner.plan_for(formula, pictures, 2, EngineConfig())
         other_level = planner.plan_for(formula, pictures, 1, EngineConfig())
         other_config = planner.plan_for(
-            formula, pictures, 2, EngineConfig(prune_atoms=True)
+            formula, pictures, 2, EngineConfig(join_mode=OUTER)
         )
         assert other_level is not plan
         assert other_config is not plan
@@ -321,7 +296,7 @@ class TestEngineIntegration:
             "exists x . (present(x) and (eventually type(x) = 'person'))"
         )
         planned = RetrievalEngine()
-        unplanned = RetrievalEngine(EngineConfig(plan=False))
+        unplanned = structural_engine()
         assert planned.evaluate_video(
             formula, video, database=database
         ) == unplanned.evaluate_video(formula, video, database=database)
@@ -337,21 +312,12 @@ class TestEngineIntegration:
             "exists x . (present(x) and (eventually type(x) = 'car'))"
         )
         planned = RetrievalEngine()
-        unplanned = RetrievalEngine(EngineConfig(plan=False))
+        unplanned = structural_engine()
         a = planned.evaluate_video(formula, video, database=database)
         b = unplanned.evaluate_video(formula, video, database=database)
         assert a == b
         assert not a  # empty similarity list, identical both ways
         assert planned.planner.stats.skipped_subformulas == 1
-
-    def test_plan_false_builds_no_planner_work(self):
-        database = self._database()
-        video = database.get("vid")
-        engine = RetrievalEngine(EngineConfig(plan=False))
-        engine.evaluate_video(
-            parse("exists x . present(x)"), video, database=database
-        )
-        assert engine.planner is None
 
     def test_pure_ref_queries_never_planned(self):
         from repro.workloads.synthetic import random_similarity_list
@@ -410,7 +376,7 @@ class TestEngineIntegration:
             "[h := f(x)] f(x) > h and f(x) < h)"
         )
         planned = RetrievalEngine()
-        unplanned = RetrievalEngine(EngineConfig(plan=False))
+        unplanned = structural_engine()
         outcomes = []
         for engine in (planned, unplanned):
             try:

@@ -336,14 +336,6 @@ class TestIndexedEqualsNaive:
         naive = system.similarity_table(atom, use_index=False)
         assert_tables_equal(indexed, naive)
 
-    @settings(max_examples=40, deadline=None)
-    @given(segments=signed_segments(), atom=signature_formulas())
-    def test_pruned_tables_identical(self, segments, atom):
-        system = PictureRetrievalSystem(segments)
-        indexed = system.similarity_table(atom, prune=True, use_index=True)
-        naive = system.similarity_table(atom, prune=True, use_index=False)
-        assert_tables_equal(indexed, naive)
-
     @settings(max_examples=60, deadline=None)
     @given(
         segments=signed_segments(min_segments=1),
@@ -358,15 +350,17 @@ class TestIndexedEqualsNaive:
         video = flat_video("signed", segments)
         formula = closed(ast.And(left, ast.Eventually(right)))
 
-        def outcome(config):
+        def outcome(engine):
             try:
-                return RetrievalEngine(config).evaluate_video(formula, video)
+                return engine.evaluate_video(formula, video)
             except HTLTypeError as error:
                 return ("raised", type(error).__name__)
 
-        planned = outcome(EngineConfig())
-        structural = outcome(EngineConfig(plan=False))
-        naive = outcome(EngineConfig(naive_atoms=True))
+        unplanned = RetrievalEngine()
+        unplanned.planner = None  # structural evaluation order
+        planned = outcome(RetrievalEngine())
+        structural = outcome(unplanned)
+        naive = outcome(RetrievalEngine(EngineConfig(naive_atoms=True)))
         assert planned == structural
         assert planned == naive
 
